@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet build examples test race flake bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
 check: vet build examples race test
 
@@ -51,6 +51,17 @@ race:
 
 test:
 	$(GO) test ./...
+
+# The timing-sensitive end-to-end tests, 20 runs each: the daemon's
+# SIGTERM drain, the hvacsim monitor's alarm path, the cross-process
+# trace merge against a live daemon, and traced remote-store fetches
+# from 8 workers. A race that one `make check` run passes by luck
+# rarely survives twenty.
+flake:
+	$(GO) test -count=20 -run '^TestSigtermDrainsWithoutLosingResponses$$' ./cmd/serve
+	$(GO) test -count=20 -run '^(TestMonitorEndToEnd|TestTraceAlarmCorrelation)$$' ./cmd/hvacsim
+	$(GO) test -count=20 -run '^TestTraceMergeEndToEnd$$' ./internal/serve
+	$(GO) test -count=20 -run '^TestRemoteTraceConcurrent$$' ./internal/artifact
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

@@ -79,9 +79,14 @@ func TestSigtermDrainsWithoutLosingResponses(t *testing.T) {
 		}(100 + i)
 	}
 
-	// Wait until the daemon is actually serving them, then kill it.
+	// Wait until the daemon has admitted all n past its drain gate,
+	// then kill it. InFlight counts a request only once it is past the
+	// gate, so signalling at the first admission would leave the rest
+	// on the wire, and the drain correctly refuses those with 503. A
+	// request that already answered counts too: it left the gate's
+	// count before it reached results.
 	deadline := time.After(30 * time.Second)
-	for srv.InFlight() == 0 {
+	for srv.InFlight()+len(results) < n {
 		select {
 		case <-deadline:
 			t.Fatal("requests never went in flight")

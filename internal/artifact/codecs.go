@@ -195,10 +195,11 @@ type SavedModel struct {
 	Names *sysid.ModelNames
 }
 
-// ModelCodec persists a SavedModel through sysid.Save/Load.
+// ModelCodec persists a SavedModel through sysid.Save/Load. Version 2
+// files carry the model's spectral radius.
 var ModelCodec = Codec[*SavedModel]{
 	Name:    "sysid-model",
-	Version: 1,
+	Version: 2,
 	Encode: func(w io.Writer, m *SavedModel) error {
 		if m == nil || m.Model == nil {
 			return fmt.Errorf("artifact: nil model")

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -113,6 +116,35 @@ func TestFleetSmallParallel(t *testing.T) {
 	b, _ := runFleet(t, cfg, t.TempDir(), 8)
 	if string(a) != string(b) {
 		t.Fatal("two cold 8-worker runs produced different reports")
+	}
+}
+
+// TestFleetReportGolden pins a small fleet's report to recorded bytes.
+// Speeding up a stage, or computing a value once instead of twice,
+// must not move a single model, evaluation or summary; a change that
+// has to move them re-pins testdata/report_n6_seed126.json and says
+// why.
+func TestFleetReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second fleet run")
+	}
+	cfg := DefaultConfig()
+	cfg.N = 6
+	cfg.Seed = 126
+	cfg.Days = 4
+	cfg.ControlDays = 1
+	got, _ := runFleet(t, cfg, t.TempDir(), 2)
+	want, err := os.ReadFile(filepath.Join("testdata", "report_n6_seed126.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("report differs from testdata/report_n6_seed126.json at byte %d:\ngot  ...%s\nwant ...%s",
+			i, got[max(0, i-60):min(len(got), i+60)], want[max(0, i-60):min(len(want), i+60)])
 	}
 }
 

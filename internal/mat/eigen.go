@@ -169,35 +169,84 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 		scale = mx
 		a = a.Scale(1 / mx)
 	}
-	var best float64
 	// Deterministic restart vectors: unit basis directions plus the
-	// all-ones vector to escape unlucky invariant subspaces.
-	for r := 0; r <= n; r++ {
-		x := make([]float64, n)
-		if r == n {
-			for i := range x {
-				x[i] = 1
+	// all-ones vector to escape unlucky invariant subspaces. They
+	// advance spectralLanes at a time, so each pass over a's rows feeds
+	// every lane's product; lanes past the last restart stay zero and
+	// never count.
+	buf := make([]float64, 2*spectralLanes*n)
+	var x, y [spectralLanes][]float64
+	for l := range x {
+		x[l] = buf[2*l*n : (2*l+1)*n]
+		y[l] = buf[(2*l+1)*n : (2*l+2)*n]
+	}
+	var best float64
+	for r0 := 0; r0 <= n; r0 += spectralLanes {
+		var lam [spectralLanes]float64
+		var live [spectralLanes]bool
+		for l := range x {
+			r := r0 + l
+			clear(x[l])
+			switch {
+			case r < n:
+				x[l][r] = 1
+			case r == n:
+				for i := range x[l] {
+					x[l][i] = 1
+				}
 			}
-		} else {
-			x[r] = 1
+			live[l] = r <= n
 		}
-		var lam float64
-		for it := 0; it < iters; it++ {
-			y := a.MulVec(x)
-			ny := Norm2(y)
-			if ny == 0 {
-				lam = 0
-				break
+		for it := 0; it < iters && live != [spectralLanes]bool{}; it++ {
+			mulVecLanes(a, &x, &y)
+			for l := range x {
+				if !live[l] {
+					continue
+				}
+				ny := Norm2(y[l])
+				if ny == 0 {
+					lam[l] = 0
+					live[l] = false
+					continue
+				}
+				lam[l] = ny
+				for i := range y[l] {
+					y[l][i] /= ny
+				}
+				x[l], y[l] = y[l], x[l]
 			}
-			lam = ny
-			for i := range y {
-				y[i] /= ny
-			}
-			x = y
 		}
-		if lam > best {
-			best = lam
+		for _, v := range lam {
+			if v > best {
+				best = v
+			}
 		}
 	}
 	return scale * best, nil
+}
+
+// spectralLanes is how many power-iteration restarts SpectralRadius
+// advances per pass over the matrix; mulVecLanes is written out for
+// exactly this many.
+const spectralLanes = 4
+
+// mulVecLanes sets y[l] = a*x[l] for every lane in one pass over a's
+// rows. Each element is summed in Dot's order, so it equals the
+// corresponding MulVec element bit for bit; the lanes' independent
+// sums keep the floating-point units busy where one Dot stalls on its
+// own running sum.
+func mulVecLanes(a *Dense, x, y *[spectralLanes][]float64) {
+	n := a.cols
+	for i := 0; i < a.rows; i++ {
+		row := a.data[i*n : (i+1)*n]
+		x0, x1, x2, x3 := x[0][:len(row)], x[1][:len(row)], x[2][:len(row)], x[3][:len(row)]
+		var s0, s1, s2, s3 float64
+		for j, v := range row {
+			s0 += v * x0[j]
+			s1 += v * x1[j]
+			s2 += v * x2[j]
+			s3 += v * x3[j]
+		}
+		y[0][i], y[1][i], y[2][i], y[3][i] = s0, s1, s2, s3
+	}
 }

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -148,5 +149,177 @@ func TestSpectralRadius(t *testing.T) {
 	z, err := SpectralRadius(NewDense(3, 3), 10)
 	if err != nil || z != 0 {
 		t.Errorf("zero matrix radius = %v err %v, want 0", z, err)
+	}
+}
+
+// spectralRadiusRef is the plain form of SpectralRadius's estimate:
+// one restart at a time, one fresh MulVec slice per iteration. It is
+// the oracle the multi-restart kernel must match bit for bit.
+func spectralRadiusRef(a *Dense, iters int) (float64, error) {
+	m, n := a.Dims()
+	if m != n {
+		return 0, ErrShape
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	if iters <= 0 {
+		iters = 200
+	}
+	var mx float64
+	for i := 0; i < n; i++ {
+		for _, v := range a.RawRow(i) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, ErrNonFinite
+			}
+			mx = math.Max(mx, math.Abs(v))
+		}
+	}
+	if mx == 0 {
+		return 0, nil
+	}
+	scale := 1.0
+	if mx > spectralScaleFloor {
+		scale = mx
+		a = a.Scale(1 / mx)
+	}
+	var best float64
+	for r := 0; r <= n; r++ {
+		x := make([]float64, n)
+		if r == n {
+			for i := range x {
+				x[i] = 1
+			}
+		} else {
+			x[r] = 1
+		}
+		var lam float64
+		for it := 0; it < iters; it++ {
+			y := a.MulVec(x)
+			ny := Norm2(y)
+			if ny == 0 {
+				lam = 0
+				break
+			}
+			lam = ny
+			for i := range y {
+				y[i] /= ny
+			}
+			x = y
+		}
+		if lam > best {
+			best = lam
+		}
+	}
+	return scale * best, nil
+}
+
+// thermalCompanion returns the matrix sysid's Model.SpectralRadius
+// iterates on for a random p-sensor model: A itself for first order,
+// the 2p x 2p companion [[A+A2, -A2], [I, 0]] for second order. A is
+// near-diagonal around 0.95, like an identified thermal network, so
+// some draws land just inside the unit circle and some just outside.
+func thermalCompanion(rng *rand.Rand, p, order int) *Dense {
+	a := NewDense(p, p)
+	a2 := NewDense(p, p)
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			a.Set(i, j, 0.1*rng.NormFloat64()/float64(p))
+			a2.Set(i, j, 0.2*rng.NormFloat64()/float64(p))
+		}
+		a.Set(i, i, 0.9+0.15*rng.Float64())
+		a2.Set(i, i, 0.5*rng.Float64()-0.1)
+	}
+	if order == 1 {
+		return a
+	}
+	comp := NewDense(2*p, 2*p)
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			comp.Set(i, j, a.At(i, j)+a2.At(i, j))
+			comp.Set(i, j+p, -a2.At(i, j))
+		}
+		comp.Set(i+p, i, 1)
+	}
+	return comp
+}
+
+// TestSpectralRadiusMatchesReference pins the multi-restart kernel to
+// the one-restart-at-a-time oracle: every estimate must be the same
+// float64, not merely close, because sysid's stability projection and
+// every persisted model downstream of it depend on the exact value.
+func TestSpectralRadiusMatchesReference(t *testing.T) {
+	check := func(name string, a *Dense, iters int) {
+		t.Helper()
+		got, err := SpectralRadius(a, iters)
+		want, wantErr := spectralRadiusRef(a, iters)
+		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
+			t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
+		}
+		if got != want {
+			t.Fatalf("%s: SpectralRadius = %v (%x), reference %v (%x)",
+				name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, p := range []int{1, 2, 3, 4, 5, 6, 8, 11, 27} {
+		for _, order := range []int{1, 2} {
+			for seed := int64(1); seed <= 4; seed++ {
+				a := thermalCompanion(rand.New(rand.NewSource(seed*1000+int64(p))), p, order)
+				check(fmt.Sprintf("p=%d order=%d seed=%d", p, order, seed), a, 300)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, iters := range []int{-1, 0, 1, 2, 7} {
+		check(fmt.Sprintf("iters=%d", iters), thermalCompanion(rng, 5, 2), iters)
+	}
+	// Edge cases: the huge-entry rescale (radius overflowing to +Inf
+	// and a finite huge one), zero and nilpotent matrices whose
+	// restarts stop on a zero norm, a companion with A2 = 0 (half its
+	// restarts die at once), underflowing entries, NaN/Inf rejection,
+	// and the empty and non-square shapes.
+	h := 1e308
+	comp := NewDense(6, 6)
+	for i := 0; i < 3; i++ {
+		comp.Set(i, i, 0.97)
+		comp.Set(i+3, i, 1)
+	}
+	for name, a := range map[string]*Dense{
+		"huge-overflow": NewDenseData(2, 2, []float64{h, h, h, h}),
+		"huge-finite":   NewDenseData(2, 2, []float64{1e200, 0, 0, 2e200}),
+		"zero":          NewDense(3, 3),
+		"nilpotent":     NewDenseData(3, 3, []float64{0, 1, 0, 0, 0, 1, 0, 0, 0}),
+		"a2-zero":       comp,
+		"tiny":          NewDenseData(2, 2, []float64{1e-300, 1e-301, 0, 1e-300}),
+		"nan":           NewDenseData(2, 2, []float64{math.NaN(), 0, 0, 0.5}),
+		"inf":           NewDenseData(2, 2, []float64{math.Inf(-1), 0, 0, 0.5}),
+		"empty":         NewDense(0, 0),
+		"non-square":    NewDense(2, 3),
+	} {
+		check(name, a, 200)
+	}
+}
+
+// TestSpectralRadiusAllocsFlat: the iterations run in buffers set up
+// once per call, so the allocation count does not grow with iters.
+func TestSpectralRadiusAllocsFlat(t *testing.T) {
+	a := thermalCompanion(rand.New(rand.NewSource(5)), 6, 2)
+	few := testing.AllocsPerRun(20, func() { _, _ = SpectralRadius(a, 10) })
+	many := testing.AllocsPerRun(20, func() { _, _ = SpectralRadius(a, 1000) })
+	if many != few || many > 1 {
+		t.Fatalf("allocs/call = %v at 10 iterations, %v at 1000; want the same, at most 1", few, many)
+	}
+}
+
+// BenchmarkSpectralRadius times one estimate on the 54 x 54 companion
+// of a 27-sensor second-order model (the paper auditorium's size) at
+// the 300 iterations Model.SpectralRadius uses.
+func BenchmarkSpectralRadius(b *testing.B) {
+	a := thermalCompanion(rand.New(rand.NewSource(27)), 27, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SpectralRadius(a, 300); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -246,6 +246,8 @@ func EvaluateNamed(e *Engine, name string, frame *Node[*timeseries.Frame], model
 			if err != nil {
 				return nil, err
 			}
+			// The fit (or the model file) recorded the radius; this
+			// reads it rather than iterating again.
 			rho, err := sm.Model.SpectralRadius()
 			if err != nil {
 				return nil, err

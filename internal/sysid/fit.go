@@ -88,8 +88,9 @@ type Options struct {
 	// (radius slightly above 1) whose free-run predictions diverge
 	// over a day; the projection trades a little one-step accuracy for
 	// bounded long-horizon error. Zero disables the projection;
-	// DefaultOptions uses 0.999, which only bites genuinely unstable
-	// fits.
+	// DefaultOptions uses 0.999. The check uses Model.SpectralRadius, a
+	// power-iteration estimate that can read above the true radius, so
+	// some already-stable fits are shrunk too.
 	StabilityRadius float64
 	// Workers bounds the per-sensor parallelism of FitDecoupled.
 	// Zero selects the process default (par.DefaultWorkers). Results
@@ -298,12 +299,17 @@ const stabilizeSlack = 1e-9
 // predictions diverge. Now a leftover violation gets one final hard
 // projection and, if even that cannot land inside the radius, a
 // wrapped ErrUnstable instead of a silent bad model.
+//
+// The radius last computed here describes the final A and A2 (the B
+// refit does not enter the companion matrix), so the model records it
+// and SpectralRadius returns it without iterating again.
 func (m *Model) stabilize(eqs *equations, opts Options) error {
-	rho, err := m.SpectralRadius()
+	rho, err := m.spectralRadius()
 	if err != nil {
 		return fmt.Errorf("sysid: stability check: %w", err)
 	}
 	if rho <= opts.StabilityRadius {
+		m.rho = rho
 		return nil
 	}
 	shrink := func(s float64) error {
@@ -311,7 +317,7 @@ func (m *Model) stabilize(eqs *equations, opts Options) error {
 		if m.A2 != nil {
 			m.A2 = m.A2.Scale(s)
 		}
-		rho, err = m.SpectralRadius()
+		rho, err = m.spectralRadius()
 		if err != nil {
 			return fmt.Errorf("sysid: stability check: %w", err)
 		}
@@ -333,6 +339,7 @@ func (m *Model) stabilize(eqs *equations, opts Options) error {
 				rho, opts.StabilityRadius, ErrUnstable)
 		}
 	}
+	m.rho = rho
 	// Refit B: targets become the one-step residuals after the (now
 	// stable) dynamics term.
 	p := m.NumSensors()

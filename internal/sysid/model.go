@@ -52,6 +52,10 @@ type Model struct {
 	A2 *mat.Dense
 	// B couples the inputs u(k): p x m.
 	B *mat.Dense
+	// rho is the spectral-radius estimate of A and A2 recorded by Fit
+	// (the value its stabilization verified on the final dynamics) and
+	// by Load; 0 when not recorded.
+	rho float64
 }
 
 // NumSensors returns p, the model's output dimension.
@@ -126,8 +130,19 @@ func (m *Model) Simulate(t0, tPrev []float64, inputs *mat.Dense) (*mat.Dense, er
 
 // SpectralRadius estimates the dominant dynamics magnitude of the
 // model's companion form; a value below 1 indicates a stable
-// identified model.
+// identified model. Fit's stability projection and Load record the
+// estimate, and SpectralRadius then returns it without iterating
+// (editing such a model's A or A2 in place leaves it stale); other
+// models compute it on every call.
 func (m *Model) SpectralRadius() (float64, error) {
+	if m.rho > 0 {
+		return m.rho, nil
+	}
+	return m.spectralRadius()
+}
+
+// spectralRadius computes SpectralRadius's estimate from A and A2.
+func (m *Model) spectralRadius() (float64, error) {
 	p := m.NumSensors()
 	if m.Order == FirstOrder {
 		return mat.SpectralRadius(m.A, 300)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"auditherm/internal/mat"
 )
@@ -12,14 +13,18 @@ import (
 // are stored row-major with explicit dimensions so a reader in any
 // language can consume them.
 type modelJSON struct {
-	Version int         `json:"version"`
-	Order   int         `json:"order"`
-	Sensors int         `json:"sensors"`
-	Inputs  int         `json:"inputs"`
-	A       []float64   `json:"a"`
-	A2      []float64   `json:"a2,omitempty"`
-	B       []float64   `json:"b"`
-	Names   *ModelNames `json:"names,omitempty"`
+	Version int       `json:"version"`
+	Order   int       `json:"order"`
+	Sensors int       `json:"sensors"`
+	Inputs  int       `json:"inputs"`
+	A       []float64 `json:"a"`
+	A2      []float64 `json:"a2,omitempty"`
+	B       []float64 `json:"b"`
+	// SpectralRadius is the model's SpectralRadius estimate. Files
+	// written before it was persisted lack it, and so does a model
+	// whose estimate is not finite.
+	SpectralRadius *float64    `json:"spectral_radius,omitempty"`
+	Names          *ModelNames `json:"names,omitempty"`
 }
 
 // ModelNames optionally labels a persisted model's outputs and inputs.
@@ -31,7 +36,8 @@ type ModelNames struct {
 // persistVersion is bumped on breaking format changes.
 const persistVersion = 1
 
-// Save writes the model as JSON. names may be nil.
+// Save writes the model and its spectral radius as JSON. names may be
+// nil.
 func (m *Model) Save(w io.Writer, names *ModelNames) error {
 	p := m.NumSensors()
 	mi := m.NumInputs()
@@ -55,6 +61,13 @@ func (m *Model) Save(w io.Writer, names *ModelNames) error {
 	if m.Order == SecondOrder {
 		enc.A2 = flatten(m.A2)
 	}
+	rho, err := m.SpectralRadius()
+	if err != nil {
+		return fmt.Errorf("sysid: encoding model: %w", err)
+	}
+	if !math.IsInf(rho, 0) {
+		enc.SpectralRadius = &rho
+	}
 	e := json.NewEncoder(w)
 	e.SetIndent("", " ")
 	if err := e.Encode(enc); err != nil {
@@ -64,7 +77,8 @@ func (m *Model) Save(w io.Writer, names *ModelNames) error {
 }
 
 // Load reads a model written by Save, returning the model and any
-// names stored with it.
+// names stored with it. A file without a spectral radius gets it
+// computed here, once.
 func Load(r io.Reader) (*Model, *ModelNames, error) {
 	var dec modelJSON
 	if err := json.NewDecoder(r).Decode(&dec); err != nil {
@@ -107,6 +121,18 @@ func Load(r io.Reader) (*Model, *ModelNames, error) {
 		if len(dec.Names.Inputs) != 0 && len(dec.Names.Inputs) != mi {
 			return nil, nil, fmt.Errorf("sysid: %d persisted input names for %d inputs", len(dec.Names.Inputs), mi)
 		}
+	}
+	if r := dec.SpectralRadius; r != nil {
+		if *r < 0 {
+			return nil, nil, fmt.Errorf("sysid: persisted spectral radius %v negative", *r)
+		}
+		m.rho = *r
+	} else {
+		rho, err := m.spectralRadius()
+		if err != nil {
+			return nil, nil, fmt.Errorf("sysid: persisted dynamics: %w", err)
+		}
+		m.rho = rho
 	}
 	return m, dec.Names, nil
 }
