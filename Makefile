@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race flake bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet build examples test race flake fuzz bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
 check: vet build examples race test
 
@@ -62,6 +62,15 @@ flake:
 	$(GO) test -count=20 -run '^(TestMonitorEndToEnd|TestTraceAlarmCorrelation)$$' ./cmd/hvacsim
 	$(GO) test -count=20 -run '^TestTraceMergeEndToEnd$$' ./internal/serve
 	$(GO) test -count=20 -run '^TestRemoteTraceConcurrent$$' ./internal/artifact
+
+# Native Go fuzz targets, 10s each (go test -fuzz takes one target per
+# run). `go test ./...` already replays their checked-in seed
+# corpora under testdata/fuzz; this target searches for new inputs.
+# FuzzCompanionSpectralRadius: the companion spectral-radius kernel
+# must return SpectralRadius's bits and error class on the explicit
+# companion, for any p x 2p top of arbitrary float64 bits.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

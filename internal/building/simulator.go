@@ -352,6 +352,15 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 		wobAmp = frac * cfg.TurbulencePower / float64(len(s.temps))
 		wobPhase = 2 * math.Pi * s.elapsed / period.Seconds()
 	}
+	// Two-zone standing oscillation: the front (supply-jet) half and
+	// the back (return-plume) half breathe in counter-phase, like a slow
+	// room-scale circulation cell. Every cell of a half sees the same
+	// load, so each is computed once per substep.
+	var wobFront, wobBack float64
+	if wobAmp > 0 {
+		wobFront = wobAmp * math.Sin(wobPhase)
+		wobBack = wobAmp * math.Sin(wobPhase+math.Pi)
+	}
 
 	// Front-cell supply conductance: each outlet's flow splits over the
 	// front cells in its band.
@@ -370,6 +379,10 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 	// any worker count). The paper-scale default grid (10x6 cells) stays
 	// below simParCells and runs serially with zero overhead.
 	update := func(ixlo, ixhi int) {
+		// The grid's cells share a handful of distinct conductances, so
+		// each band remembers their decay factors; the memo is the
+		// band's own, so concurrent bands share nothing.
+		decay := expMemo{sub: sub, cap: s.cellCap}
 		for ix := ixlo; ix < ixhi; ix++ {
 			for iy := 0; iy < ny; iy++ {
 				i := ix*ny + iy
@@ -419,14 +432,11 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 					load += occHeat
 				}
 				if wobAmp > 0 {
-					// Two-zone standing oscillation: the front (supply-jet)
-					// half and the back (return-plume) half breathe in
-					// counter-phase, like a slow room-scale circulation cell.
-					phase := wobPhase
 					if 5*ix >= 2*nx {
-						phase += math.Pi
+						load += wobBack
+					} else {
+						load += wobFront
 					}
-					load += wobAmp * math.Sin(phase)
 				}
 				if ix == 0 {
 					o := s.outletOf[iy]
@@ -437,7 +447,7 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 					}
 				}
 
-				next[i] = relax(ti, g, gt, load, sub, s.cellCap)
+				next[i] = decay.relax(ti, g, gt, load)
 			}
 		}
 	}
@@ -476,8 +486,51 @@ func relax(ti, g, gt, load, sub, cap float64) float64 {
 	if g <= 0 {
 		return ti + sub*load/cap
 	}
+	return relaxBy(ti, g, gt, load, math.Exp(-sub*g/cap))
+}
+
+// relaxBy is relax for g > 0 with its decay factor exp(-sub*g/cap)
+// already known.
+func relaxBy(ti, g, gt, load, decay float64) float64 {
 	teq := (gt + load) / g
-	return teq + (ti-teq)*math.Exp(-sub*g/cap)
+	return teq + (ti-teq)*decay
+}
+
+// expMemoSize bounds expMemo; the paper's 10x6 grid has 9 distinct
+// cell conductances per substep.
+const expMemoSize = 16
+
+// expMemo computes relax for a fixed substep and heat capacity,
+// remembering math.Exp(-sub*g/cap) for the first expMemoSize distinct
+// conductances g it sees and computing the rest afresh. Its results
+// equal relax's bit for bit.
+type expMemo struct {
+	sub, cap float64
+	n        int
+	g, decay [expMemoSize]float64
+}
+
+// relax is relax(ti, g, gt, load, m.sub, m.cap).
+func (m *expMemo) relax(ti, g, gt, load float64) float64 {
+	if g <= 0 {
+		return relax(ti, g, gt, load, m.sub, m.cap)
+	}
+	return relaxBy(ti, g, gt, load, m.exp(g))
+}
+
+// exp returns math.Exp(-m.sub*g/m.cap).
+func (m *expMemo) exp(g float64) float64 {
+	for k, v := range m.g[:m.n] {
+		if v == g {
+			return m.decay[k]
+		}
+	}
+	d := math.Exp(-m.sub * g / m.cap)
+	if m.n < expMemoSize {
+		m.g[m.n], m.decay[m.n] = g, d
+		m.n++
+	}
+	return d
 }
 
 // driftFactor is the seasonal mixing drift multiplier after the

@@ -23,11 +23,19 @@ const maxJacobiSweeps = 100
 // NewEigenSym computes the eigendecomposition of the symmetric matrix a
 // using the cyclic Jacobi method. Only symmetric input is supported; the
 // matrix is symmetrized as (A+A^T)/2 to absorb round-off asymmetry, but
-// an error is returned when the asymmetry is structural.
+// an error is returned when the asymmetry is structural. Matrices with
+// NaN or Inf entries are rejected with ErrNonFinite: the symmetry test
+// cannot see a NaN, and the sweeps would return NaN or meaningless
+// eigenvalues without an error.
 func NewEigenSym(a *Dense) (*Eigen, error) {
 	m, n := a.Dims()
 	if m != n {
 		return nil, fmt.Errorf("mat: eigendecomposition of %dx%d matrix: %w", m, n, ErrShape)
+	}
+	for _, v := range a.data {
+		if !isFinite(v) {
+			return nil, fmt.Errorf("mat: eigendecomposition: %w", ErrNonFinite)
+		}
 	}
 	if !a.IsSymmetric(1e-8 * (1 + a.MaxAbs())) {
 		return nil, fmt.Errorf("mat: eigendecomposition of non-symmetric matrix: %w", ErrShape)
@@ -141,6 +149,30 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 	if m != n {
 		return 0, fmt.Errorf("mat: spectral radius of %dx%d matrix: %w", m, n, ErrShape)
 	}
+	return spectralRadius(a, iters)
+}
+
+// CompanionSpectralRadius returns SpectralRadius of the 2p x 2p block
+// companion matrix [[top], [I 0]] for a p x 2p top, without storing
+// or multiplying the identity rows. The estimate is the same float64
+// SpectralRadius returns on the explicit companion.
+func CompanionSpectralRadius(top *Dense, iters int) (float64, error) {
+	p, n := top.Dims()
+	if n != 2*p {
+		return 0, fmt.Errorf("mat: companion spectral radius of %dx%d top block: %w", p, n, ErrShape)
+	}
+	return spectralRadius(top, iters)
+}
+
+// spectralRadius estimates the spectral radius of the n x n matrix
+// whose first m rows are the m x n matrix top and whose remaining n-m
+// rows are [I 0]: row m+i holds a 1 in column i and zeros elsewhere.
+// Those implicit rows count toward the max-abs entry and the rescale
+// like stored ones. Their products are exact copies, so skipping their
+// zero terms changes at most the sign of a zero, and every later step
+// depends only on magnitudes.
+func spectralRadius(top *Dense, iters int) (float64, error) {
+	m, n := top.Dims()
 	if n == 0 {
 		return 0, nil
 	}
@@ -148,9 +180,12 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 		iters = 200
 	}
 	var mx float64
-	for i := 0; i < n; i++ {
-		for _, v := range a.RawRow(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+	if m < n {
+		mx = 1
+	}
+	for i := 0; i < m; i++ {
+		for _, v := range top.RawRow(i) {
+			if !isFinite(v) {
 				return 0, fmt.Errorf("mat: spectral radius: %w", ErrNonFinite)
 			}
 			if av := math.Abs(v); av > mx {
@@ -161,17 +196,19 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 	if mx == 0 {
 		return 0, nil
 	}
-	scale := 1.0
+	scale, unit := 1.0, 1.0
 	if mx > spectralScaleFloor {
 		// Iterate on a/mx (entries <= 1, norms <= n: no overflow) and
 		// scale the estimate back. Only huge matrices take this path,
 		// so ordinary estimates keep their exact historical values.
+		// The implicit identity entries scale with the stored ones.
 		scale = mx
-		a = a.Scale(1 / mx)
+		top = top.Scale(1 / mx)
+		unit = 1 / mx
 	}
 	// Deterministic restart vectors: unit basis directions plus the
 	// all-ones vector to escape unlucky invariant subspaces. They
-	// advance spectralLanes at a time, so each pass over a's rows feeds
+	// advance spectralLanes at a time, so each pass over the rows feeds
 	// every lane's product; lanes past the last restart stay zero and
 	// never count.
 	buf := make([]float64, 2*spectralLanes*n)
@@ -198,7 +235,7 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 			live[l] = r <= n
 		}
 		for it := 0; it < iters && live != [spectralLanes]bool{}; it++ {
-			mulVecLanes(a, &x, &y)
+			mulVecLanes(top, unit, &x, &y)
 			for l := range x {
 				if !live[l] {
 					continue
@@ -230,15 +267,16 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 // exactly this many.
 const spectralLanes = 4
 
-// mulVecLanes sets y[l] = a*x[l] for every lane in one pass over a's
-// rows. Each element is summed in Dot's order, so it equals the
-// corresponding MulVec element bit for bit; the lanes' independent
-// sums keep the floating-point units busy where one Dot stalls on its
-// own running sum.
-func mulVecLanes(a *Dense, x, y *[spectralLanes][]float64) {
-	n := a.cols
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*n : (i+1)*n]
+// mulVecLanes sets y[l] = a*x[l] for every lane in one pass over the
+// rows, where a is top stacked over the implicit rows [unit*I 0] that
+// fill it out to square. Each stored row is summed in Dot's order, so
+// it equals the corresponding MulVec element bit for bit; the lanes'
+// independent sums keep the floating-point units busy where one Dot
+// stalls on its own running sum.
+func mulVecLanes(top *Dense, unit float64, x, y *[spectralLanes][]float64) {
+	n := top.cols
+	for i := 0; i < top.rows; i++ {
+		row := top.data[i*n : (i+1)*n]
 		x0, x1, x2, x3 := x[0][:len(row)], x[1][:len(row)], x[2][:len(row)], x[3][:len(row)]
 		var s0, s1, s2, s3 float64
 		for j, v := range row {
@@ -248,5 +286,9 @@ func mulVecLanes(a *Dense, x, y *[spectralLanes][]float64) {
 			s3 += v * x3[j]
 		}
 		y[0][i], y[1][i], y[2][i], y[3][i] = s0, s1, s2, s3
+	}
+	for i := top.rows; i < n; i++ {
+		k := i - top.rows
+		y[0][i], y[1][i], y[2][i], y[3][i] = unit*x[0][k], unit*x[1][k], unit*x[2][k], unit*x[3][k]
 	}
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -95,6 +96,24 @@ func TestEigenSymRejectsAsymmetric(t *testing.T) {
 	}
 	if _, err := NewEigenSym(NewDense(2, 3)); !errors.Is(err, ErrShape) {
 		t.Errorf("rect err = %v, want ErrShape", err)
+	}
+}
+
+// TestEigenSymRejectsNonFinite: the symmetry check cannot see a NaN
+// (NaN > tol is false) and an Inf pair passes it, so without the
+// up-front check both returned eigenvalues and a nil error.
+func TestEigenSymRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, a := range map[string]*Dense{
+		"nan-diagonal":     NewDenseData(3, 3, []float64{1, 0, 0, 0, nan, 0, 0, 0, 1}),
+		"nan-off-diagonal": NewDenseData(3, 3, []float64{1, nan, 0, nan, 1, 0, 0, 0, 1}),
+		"nan-one-side":     NewDenseData(2, 2, []float64{1, nan, 0, 1}),
+		"inf-pair":         NewDenseData(2, 2, []float64{1, inf, inf, 1}),
+		"neg-inf-diagonal": NewDenseData(2, 2, []float64{-inf, 0, 0, 1}),
+	} {
+		if e, err := NewEigenSym(a); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: NewEigenSym = %v, err %v; want ErrNonFinite", name, e, err)
+		}
 	}
 }
 
@@ -214,12 +233,12 @@ func spectralRadiusRef(a *Dense, iters int) (float64, error) {
 	return scale * best, nil
 }
 
-// thermalCompanion returns the matrix sysid's Model.SpectralRadius
-// iterates on for a random p-sensor model: A itself for first order,
-// the 2p x 2p companion [[A+A2, -A2], [I, 0]] for second order. A is
-// near-diagonal around 0.95, like an identified thermal network, so
-// some draws land just inside the unit circle and some just outside.
-func thermalCompanion(rng *rand.Rand, p, order int) *Dense {
+// thermalDynamics returns the matrix sysid's Model.SpectralRadius hands
+// the kernel for a random p-sensor model: A itself for first order, the
+// p x 2p top block row [A+A2, -A2] of the companion for second order.
+// A is near-diagonal around 0.95, like an identified thermal network,
+// so some draws land just inside the unit circle and some just outside.
+func thermalDynamics(rng *rand.Rand, p, order int) *Dense {
 	a := NewDense(p, p)
 	a2 := NewDense(p, p)
 	for i := 0; i < p; i++ {
@@ -233,45 +252,88 @@ func thermalCompanion(rng *rand.Rand, p, order int) *Dense {
 	if order == 1 {
 		return a
 	}
-	comp := NewDense(2*p, 2*p)
+	top := NewDense(p, 2*p)
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			comp.Set(i, j, a.At(i, j)+a2.At(i, j))
-			comp.Set(i, j+p, -a2.At(i, j))
+			top.Set(i, j, a.At(i, j)+a2.At(i, j))
+			top.Set(i, j+p, -a2.At(i, j))
 		}
-		comp.Set(i+p, i, 1)
 	}
-	return comp
+	return top
+}
+
+// companion returns the explicit 2p x 2p matrix [[top], [I 0]] that
+// CompanionSpectralRadius leaves implicit.
+func companion(top *Dense) *Dense {
+	p := top.Rows()
+	c := NewDense(2*p, 2*p)
+	for i := 0; i < p; i++ {
+		copy(c.RawRow(i), top.RawRow(i))
+		c.Set(i+p, i, 1)
+	}
+	return c
+}
+
+// errClass returns the sentinel err wraps (ErrNonFinite or ErrShape),
+// or err itself.
+func errClass(err error) error {
+	for _, c := range []error{ErrNonFinite, ErrShape} {
+		if errors.Is(err, c) {
+			return c
+		}
+	}
+	return err
+}
+
+// checkSameEstimate fails unless got and want are the same float64 and
+// the errors are of the same class.
+func checkSameEstimate(t testing.TB, name string, got float64, err error, want float64, wantErr error) {
+	t.Helper()
+	if errClass(err) != errClass(wantErr) {
+		t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: estimate %v (%x), reference %v (%x)",
+			name, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
 }
 
 // TestSpectralRadiusMatchesReference pins the multi-restart kernel to
 // the one-restart-at-a-time oracle: every estimate must be the same
 // float64, not merely close, because sysid's stability projection and
 // every persisted model downstream of it depend on the exact value.
+// Every companion is also estimated from its top block row alone with
+// CompanionSpectralRadius, which must match the oracle on the explicit
+// matrix just as exactly.
 func TestSpectralRadiusMatchesReference(t *testing.T) {
 	check := func(name string, a *Dense, iters int) {
 		t.Helper()
 		got, err := SpectralRadius(a, iters)
 		want, wantErr := spectralRadiusRef(a, iters)
-		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
-			t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
-		}
-		if got != want {
-			t.Fatalf("%s: SpectralRadius = %v (%x), reference %v (%x)",
-				name, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
+		checkSameEstimate(t, name, got, err, want, wantErr)
+	}
+	checkCompanion := func(name string, top *Dense, iters int) {
+		t.Helper()
+		got, err := CompanionSpectralRadius(top, iters)
+		want, wantErr := spectralRadiusRef(companion(top), iters)
+		checkSameEstimate(t, name+" (companion)", got, err, want, wantErr)
 	}
 	for _, p := range []int{1, 2, 3, 4, 5, 6, 8, 11, 27} {
-		for _, order := range []int{1, 2} {
-			for seed := int64(1); seed <= 4; seed++ {
-				a := thermalCompanion(rand.New(rand.NewSource(seed*1000+int64(p))), p, order)
-				check(fmt.Sprintf("p=%d order=%d seed=%d", p, order, seed), a, 300)
-			}
+		for seed := int64(1); seed <= 4; seed++ {
+			name := fmt.Sprintf("p=%d seed=%d", p, seed)
+			a := thermalDynamics(rand.New(rand.NewSource(seed*1000+int64(p))), p, 1)
+			check(name+" order=1", a, 300)
+			top := thermalDynamics(rand.New(rand.NewSource(seed*1000+int64(p))), p, 2)
+			check(name+" order=2", companion(top), 300)
+			checkCompanion(name+" order=2", top, 300)
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, iters := range []int{-1, 0, 1, 2, 7} {
-		check(fmt.Sprintf("iters=%d", iters), thermalCompanion(rng, 5, 2), iters)
+		top := thermalDynamics(rng, 5, 2)
+		name := fmt.Sprintf("iters=%d", iters)
+		check(name, companion(top), iters)
+		checkCompanion(name, top, iters)
 	}
 	// Edge cases: the huge-entry rescale (radius overflowing to +Inf
 	// and a finite huge one), zero and nilpotent matrices whose
@@ -279,17 +341,16 @@ func TestSpectralRadiusMatchesReference(t *testing.T) {
 	// restarts die at once), underflowing entries, NaN/Inf rejection,
 	// and the empty and non-square shapes.
 	h := 1e308
-	comp := NewDense(6, 6)
+	a2Zero := NewDense(3, 6)
 	for i := 0; i < 3; i++ {
-		comp.Set(i, i, 0.97)
-		comp.Set(i+3, i, 1)
+		a2Zero.Set(i, i, 0.97)
 	}
 	for name, a := range map[string]*Dense{
 		"huge-overflow": NewDenseData(2, 2, []float64{h, h, h, h}),
 		"huge-finite":   NewDenseData(2, 2, []float64{1e200, 0, 0, 2e200}),
 		"zero":          NewDense(3, 3),
 		"nilpotent":     NewDenseData(3, 3, []float64{0, 1, 0, 0, 0, 1, 0, 0, 0}),
-		"a2-zero":       comp,
+		"a2-zero":       companion(a2Zero),
 		"tiny":          NewDenseData(2, 2, []float64{1e-300, 1e-301, 0, 1e-300}),
 		"nan":           NewDenseData(2, 2, []float64{math.NaN(), 0, 0, 0.5}),
 		"inf":           NewDenseData(2, 2, []float64{math.Inf(-1), 0, 0, 0.5}),
@@ -298,28 +359,101 @@ func TestSpectralRadiusMatchesReference(t *testing.T) {
 	} {
 		check(name, a, 200)
 	}
+	// Companion edge cases, each a p x 2p top: entries all below 1, so
+	// the implicit identity sets the max-abs entry; the huge rescale,
+	// where the identity entries become 1/mx (radius finite and
+	// overflowing); a zero top, whose companion is nilpotent; A2 = 0;
+	// entries near 1e-300, whose products underflow; negative entries,
+	// which produce negative zeros in the identity rows' copies; and
+	// NaN/Inf rejection.
+	for name, top := range map[string]*Dense{
+		"sub-unit":      NewDenseData(2, 4, []float64{0.5, 0.1, -0.2, 0.05, 0.1, 0.4, 0.03, -0.1}),
+		"huge-finite":   NewDenseData(2, 4, []float64{1e200, 0, -3e199, 0, 0, 2e200, 0, 5e199}),
+		"huge-overflow": NewDenseData(2, 4, []float64{h, h, -h, h, h, h, h, -h}),
+		"zero":          NewDense(3, 6),
+		"a2-zero":       a2Zero,
+		"tiny":          NewDenseData(2, 4, []float64{1e-300, 1e-301, -1e-300, 0, 0, 1e-300, 2e-301, -1e-301}),
+		"negative":      NewDenseData(2, 4, []float64{-0.9, -0.05, 0.3, -0.01, -0.02, -0.8, -0.01, 0.2}),
+		"nan":           NewDenseData(1, 2, []float64{0.5, math.NaN()}),
+		"inf":           NewDenseData(1, 2, []float64{math.Inf(1), 0.5}),
+		"neg-inf":       NewDenseData(2, 4, []float64{0.9, 0, 0, 0, 0, 0.9, 0, math.Inf(-1)}),
+		"empty":         NewDense(0, 0),
+	} {
+		checkCompanion(name, top, 200)
+	}
+	for _, shape := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {0, 1}} {
+		if _, err := CompanionSpectralRadius(NewDense(shape[0], shape[1]), 200); !errors.Is(err, ErrShape) {
+			t.Errorf("%dx%d top: err = %v, want ErrShape", shape[0], shape[1], err)
+		}
+	}
+}
+
+// FuzzCompanionSpectralRadius checks CompanionSpectralRadius against
+// SpectralRadius on the explicit companion for arbitrary float64 bit
+// patterns. The first byte picks p in [1, 8]; each following 8 bytes,
+// little-endian, are one entry of the p x 2p top block, row by row,
+// with missing entries zero.
+func FuzzCompanionSpectralRadius(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		p := 1 + int(data[0])%8
+		top := NewDense(p, 2*p)
+		raw := data[1:]
+		for i := 0; i < p; i++ {
+			row := top.RawRow(i)
+			for j := range row {
+				var w [8]byte
+				raw = raw[copy(w[:], raw):]
+				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+			}
+		}
+		got, err := CompanionSpectralRadius(top, 300)
+		want, wantErr := SpectralRadius(companion(top), 300)
+		checkSameEstimate(t, fmt.Sprintf("p=%d top=\n%v", p, top), got, err, want, wantErr)
+	})
 }
 
 // TestSpectralRadiusAllocsFlat: the iterations run in buffers set up
 // once per call, so the allocation count does not grow with iters.
 func TestSpectralRadiusAllocsFlat(t *testing.T) {
-	a := thermalCompanion(rand.New(rand.NewSource(5)), 6, 2)
-	few := testing.AllocsPerRun(20, func() { _, _ = SpectralRadius(a, 10) })
-	many := testing.AllocsPerRun(20, func() { _, _ = SpectralRadius(a, 1000) })
-	if many != few || many > 1 {
-		t.Fatalf("allocs/call = %v at 10 iterations, %v at 1000; want the same, at most 1", few, many)
+	top := thermalDynamics(rand.New(rand.NewSource(5)), 6, 2)
+	a := companion(top)
+	for name, f := range map[string]func(int) (float64, error){
+		"SpectralRadius":          func(iters int) (float64, error) { return SpectralRadius(a, iters) },
+		"CompanionSpectralRadius": func(iters int) (float64, error) { return CompanionSpectralRadius(top, iters) },
+	} {
+		few := testing.AllocsPerRun(20, func() { _, _ = f(10) })
+		many := testing.AllocsPerRun(20, func() { _, _ = f(1000) })
+		if many != few || many > 1 {
+			t.Fatalf("%s: allocs/call = %v at 10 iterations, %v at 1000; want the same, at most 1", name, few, many)
+		}
 	}
 }
 
-// BenchmarkSpectralRadius times one estimate on the 54 x 54 companion
-// of a 27-sensor second-order model (the paper auditorium's size) at
-// the 300 iterations Model.SpectralRadius uses.
+// BenchmarkSpectralRadius times one estimate for a 27-sensor
+// second-order model (the paper auditorium's size) at the 300
+// iterations Model.SpectralRadius uses: on the explicit 54 x 54
+// companion, and with CompanionSpectralRadius on its 27 x 54 top block
+// row, as sysid computes it.
 func BenchmarkSpectralRadius(b *testing.B) {
-	a := thermalCompanion(rand.New(rand.NewSource(27)), 27, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SpectralRadius(a, 300); err != nil {
-			b.Fatal(err)
+	top := thermalDynamics(rand.New(rand.NewSource(27)), 27, 2)
+	a := companion(top)
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := SpectralRadius(a, 300); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("companion", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := CompanionSpectralRadius(top, 300); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

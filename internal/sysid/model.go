@@ -150,13 +150,14 @@ func (m *Model) spectralRadius() (float64, error) {
 	// Companion form for the state [T(k); T(k-1)]:
 	//   T(k+1)   = (A+A2) T(k) - A2 T(k-1)
 	//   T(k)     = T(k)
-	comp := mat.NewDense(2*p, 2*p)
+	// Only the top block row [A+A2, -A2] is stored; the kernel supplies
+	// the identity rows.
+	top := mat.NewDense(p, 2*p)
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			comp.Set(i, j, m.A.At(i, j)+m.A2.At(i, j))
-			comp.Set(i, j+p, -m.A2.At(i, j))
+			top.Set(i, j, m.A.At(i, j)+m.A2.At(i, j))
+			top.Set(i, j+p, -m.A2.At(i, j))
 		}
-		comp.Set(i+p, i, 1)
 	}
-	return mat.SpectralRadius(comp, 300)
+	return mat.CompanionSpectralRadius(top, 300)
 }

@@ -355,6 +355,10 @@ func TestSecondOrderBeatsFirstOnSecondOrderTruth(t *testing.T) {
 	}
 }
 
+// TestSpectralRadiusStable also pins the second-order estimate, which
+// hands only the top block row [A+A2, -A2] to the kernel, to
+// mat.SpectralRadius on the explicit companion [[A+A2, -A2], [I, 0]]:
+// the same float64.
 func TestSpectralRadiusStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, order := range []Order{FirstOrder, SecondOrder} {
@@ -373,6 +377,26 @@ func TestSpectralRadiusStable(t *testing.T) {
 		}
 		if r >= 1.0 {
 			t.Errorf("%v spectral radius %v >= 1 for stable truth", order, r)
+		}
+		if order != SecondOrder {
+			continue
+		}
+		p := m.NumSensors()
+		comp := mat.NewDense(2*p, 2*p)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				comp.Set(i, j, m.A.At(i, j)+m.A2.At(i, j))
+				comp.Set(i, j+p, -m.A2.At(i, j))
+			}
+			comp.Set(i+p, i, 1)
+		}
+		want, err := mat.SpectralRadius(comp, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := m.spectralRadius(); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("second-order spectralRadius = %v (%x), err %v; explicit companion %v (%x)",
+				got, math.Float64bits(got), err, want, math.Float64bits(want))
 		}
 	}
 }
