@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race flake fuzz bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet build examples test race flake fuzz bench bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
 check: vet build examples race test
 
@@ -21,12 +21,13 @@ examples:
 
 # internal/obs is hammered from 16 goroutines in its tests and
 # internal/building is the per-cell hot path the obs counters ride on.
-# internal/par is the worker pool everything parallel runs on (its
+# internal/par is the worker pool the pipeline fan-out runs on (its
 # tests cover cancellation and panic capture under load), and
-# internal/sysid / internal/cluster fan their hot loops out over it.
-# internal/mat and internal/selection carry the shared-factorization
-# GP placement kernels (workspace-reusing solves on top of par-fanned
-# Mul/QR). internal/monitor publishes health verdicts read concurrently
+# internal/sysid fans its per-sensor fits out over it.
+# internal/mat, internal/cluster and internal/selection are the serial
+# kernels those concurrent stages call; mat and selection carry the
+# shared-factorization GP placement kernels (workspace-reusing
+# solves). internal/monitor publishes health verdicts read concurrently
 # by /readyz and the metrics scraper while the control loop updates it;
 # all eight get the race detector every time. internal/pipeline
 # resolves DAG dependencies concurrently and memoizes nodes across
@@ -69,20 +70,18 @@ flake:
 # FuzzCompanionSpectralRadius: the companion spectral-radius kernel
 # must return SpectralRadius's bits and error class on the explicit
 # companion, for any p x 2p top of arbitrary float64 bits.
+# FuzzModelCodecDecode / FuzzFrameCodecDecode: any bytes either fail
+# to decode or decode to a value whose encoding is a fixed point
+# (Encode -> Decode -> Encode gives the same bytes); nothing panics.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodecDecode$$' -fuzztime 10s ./internal/artifact
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:
 	$(GO) test -run '^$$' -bench 'KernelDatasetDay|KernelEigenSym25|KernelFitSecondOrder|Figure6' -benchtime 5x .
 	$(GO) test -run '^$$' -bench . ./internal/dataset ./internal/cluster ./internal/obs
-
-# Regenerate the serial-vs-parallel benchmark matrix in BENCH_par.json
-# (workers 1/4/8 over the fit/cluster/sim hot paths, with a
-# byte-identical-output gate). Run on a multi-core machine for
-# meaningful speedups; see the "note" field of the output.
-bench-par:
-	$(GO) test ./internal/benchpar -run RecordParBench -record-par-bench
 
 # Regenerate the GP sensor-placement benchmark matrix in BENCH_gp.json
 # (incremental vs lazy vs naive GreedyMI at p = 27/100/300, with the

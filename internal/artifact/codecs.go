@@ -53,8 +53,8 @@ func frameFromJSON(j frameJSON) (*timeseries.Frame, error) {
 	if j.StepNS <= 0 || j.N < 0 {
 		return nil, fmt.Errorf("artifact: frame grid step %dns / n %d invalid", j.StepNS, j.N)
 	}
-	g := timeseries.Grid{Start: j.Start, Step: time.Duration(j.StepNS), N: j.N}
-	f := timeseries.NewFrame(g, j.Channels)
+	// Check the shape before allocating: the frame holds
+	// channels x n cells, so n must be backed by cells in the payload.
 	if len(j.Values) != len(j.Channels) {
 		return nil, fmt.Errorf("artifact: frame has %d value rows for %d channels", len(j.Values), len(j.Channels))
 	}
@@ -62,6 +62,10 @@ func frameFromJSON(j frameJSON) (*timeseries.Frame, error) {
 		if len(cells) != j.N {
 			return nil, fmt.Errorf("artifact: frame channel %q has %d cells, want %d", j.Channels[i], len(cells), j.N)
 		}
+	}
+	g := timeseries.Grid{Start: j.Start, Step: time.Duration(j.StepNS), N: j.N}
+	f := timeseries.NewFrame(g, j.Channels)
+	for i, cells := range j.Values {
 		for k, cell := range cells {
 			v, err := parseCell(cell)
 			if err != nil {

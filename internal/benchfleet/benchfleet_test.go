@@ -12,7 +12,7 @@
 // re-run must be at least 10x faster than cold, and — on machines with
 // at least 4 CPUs — the 8-worker cold run must be at least 3x faster
 // than serial (on smaller hosts the parallel gate is recorded but not
-// enforced, mirroring BENCH_par.json's single-CPU note).
+// enforced; the file's "note" field says so).
 package benchfleet
 
 import (

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"auditherm/internal/hvac"
-	"auditherm/internal/par"
 )
 
 // Physical constants.
@@ -14,11 +13,6 @@ const (
 	airDensity = 1.204 // kg/m^3 at ~20 degC
 	airCp      = hvac.AirCp
 )
-
-// simParCells gates the row-parallel cell update in substep: grids with
-// fewer cells (including the paper's 10x6 default) stay on the serial
-// path, where parallel dispatch would cost more than the physics.
-const simParCells = 2048
 
 // Config parameterizes the zonal simulator. The defaults reproduce the
 // paper's room; every field is physical, so alternative buildings are a
@@ -372,89 +366,76 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 	old := s.temps
 	next := s.scratch
 	nx, ny := s.nx, s.ny
-	// The cell update reads only the frozen `old` field and writes only
-	// next[ix*ny : (ix+1)*ny] for its own rows, so grid-row bands are
-	// independent: large grids fan out over the par worker pool with the
-	// exact serial per-cell arithmetic (bit-for-bit identical results at
-	// any worker count). The paper-scale default grid (10x6 cells) stays
-	// below simParCells and runs serially with zero overhead.
-	update := func(ixlo, ixhi int) {
-		// The grid's cells share a handful of distinct conductances, so
-		// each band remembers their decay factors; the memo is the
-		// band's own, so concurrent bands share nothing.
-		decay := expMemo{sub: sub, cap: s.cellCap}
-		for ix := ixlo; ix < ixhi; ix++ {
-			for iy := 0; iy < ny; iy++ {
-				i := ix*ny + iy
-				ti := old[i]
-				seatI := s.seatMask[i]
-				// Conductance-weighted equilibrium of the frozen neighborhood:
-				// unconditionally stable exponential relaxation toward it. An
-				// edge between two seating cells carries the boosted mixing
-				// conductance (occupant-churned zone); an edge crossing the
-				// stage/seating boundary carries the attenuated one (the
-				// supply jets short-circuit to the stage returns, so the
-				// stage microclimate couples only weakly into the seats).
-				var g, gt float64
-				edge := func(j int) {
-					m := mix
-					if seatI == s.seatMask[j] {
-						if seatI {
-							m *= boost
-						}
-					} else {
-						m *= stage
+	// The cell update reads only the frozen `old` field (a Jacobi-style
+	// sweep). The grid's cells share a handful of distinct
+	// conductances, so the substep remembers their decay factors.
+	decay := expMemo{sub: sub, cap: s.cellCap}
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			i := ix*ny + iy
+			ti := old[i]
+			seatI := s.seatMask[i]
+			// Conductance-weighted equilibrium of the frozen neighborhood:
+			// unconditionally stable exponential relaxation toward it. An
+			// edge between two seating cells carries the boosted mixing
+			// conductance (occupant-churned zone); an edge crossing the
+			// stage/seating boundary carries the attenuated one (the
+			// supply jets short-circuit to the stage returns, so the
+			// stage microclimate couples only weakly into the seats).
+			var g, gt float64
+			edge := func(j int) {
+				m := mix
+				if seatI == s.seatMask[j] {
+					if seatI {
+						m *= boost
 					}
-					g += m
-					gt += m * old[j]
+				} else {
+					m *= stage
 				}
-				if ix > 0 {
-					edge(i - ny)
-				}
-				if ix < nx-1 {
-					edge(i + ny)
-				}
-				if iy > 0 {
-					edge(i - 1)
-				}
-				if iy < ny-1 {
-					edge(i + 1)
-				}
-				if e := s.envUA[i]; e > 0 {
-					g += e
-					gt += e * in.Ambient
-				}
-				g += s.groundUA
-				gt += s.groundUA * groundTemp
-
-				load := lightHeat
-				if seatI {
-					load += occHeat
-				}
-				if wobAmp > 0 {
-					if 5*ix >= 2*nx {
-						load += wobBack
-					} else {
-						load += wobFront
-					}
-				}
-				if ix == 0 {
-					o := s.outletOf[iy]
-					if flows[o] > 0 {
-						gs := flows[o] * airCp / float64(frontPerOutlet[o])
-						g += gs
-						gt += gs * s.outlet[o]
-					}
-				}
-
-				next[i] = decay.relax(ti, g, gt, load)
+				g += m
+				gt += m * old[j]
 			}
+			if ix > 0 {
+				edge(i - ny)
+			}
+			if ix < nx-1 {
+				edge(i + ny)
+			}
+			if iy > 0 {
+				edge(i - 1)
+			}
+			if iy < ny-1 {
+				edge(i + 1)
+			}
+			if e := s.envUA[i]; e > 0 {
+				g += e
+				gt += e * in.Ambient
+			}
+			g += s.groundUA
+			gt += s.groundUA * groundTemp
+
+			load := lightHeat
+			if seatI {
+				load += occHeat
+			}
+			if wobAmp > 0 {
+				if 5*ix >= 2*nx {
+					load += wobBack
+				} else {
+					load += wobFront
+				}
+			}
+			if ix == 0 {
+				o := s.outletOf[iy]
+				if flows[o] > 0 {
+					gs := flows[o] * airCp / float64(frontPerOutlet[o])
+					g += gs
+					gt += gs * s.outlet[o]
+				}
+			}
+
+			next[i] = decay.relax(ti, g, gt, load)
 		}
-	}
-	if nx*ny >= simParCells {
-		par.For(0, nx, 1, update)
-	} else {
-		update(0, nx)
 	}
 	s.temps, s.scratch = next, old
 

@@ -63,7 +63,7 @@ func RegisterOn(fs *flag.FlagSet, c *Common) {
 	fs.StringVar(&c.Manifest, "manifest", "",
 		"write a JSON run manifest to this path on completion")
 	fs.IntVar(&c.Parallelism, "parallelism", par.DefaultWorkers(),
-		"worker count for the deterministic parallel kernels (<= 0 selects GOMAXPROCS); results are bit-identical at any value")
+		"pipeline worker count (<= 0 selects GOMAXPROCS); results are bit-identical at any value")
 	fs.BoolVar(&c.Monitor, "monitor", false,
 		"enable online model-health monitoring where the tool supports it")
 	fs.StringVar(&c.AlertLog, "alert-log", "",

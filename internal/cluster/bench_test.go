@@ -56,3 +56,13 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDistanceMatrix isolates the pairwise distance kernel.
+func BenchmarkDistanceMatrix(b *testing.B) {
+	x := benchTraces()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DistanceMatrix(x)
+	}
+}

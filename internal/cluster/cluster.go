@@ -14,18 +14,8 @@ import (
 	"sort"
 
 	"auditherm/internal/mat"
-	"auditherm/internal/par"
 	"auditherm/internal/stats"
 )
-
-// pairParFlops gates the row-parallel pairwise kernels (distance and
-// correlation matrices): a build only fans out over the par worker pool
-// once its ~p*p*n/2 element operations clear this floor, so the small
-// fixtures that dominate unit tests stay on the zero-overhead serial
-// path. The parallel decomposition computes each matrix element exactly
-// once with the serial arithmetic, so results are bit-for-bit identical
-// at any worker count.
-const pairParFlops = 1 << 15
 
 // Metric selects how sensor similarity is computed from trace rows.
 type Metric int
@@ -85,12 +75,8 @@ func SimilarityMatrixOpts(x *mat.Dense, metric Metric, opts SimilarityOptions) (
 	w := mat.NewDense(p, p)
 	switch metric {
 	case Euclidean:
-		// Pairwise distances (row-parallel via DistanceMatrix), then a
-		// Gaussian kernel with the median nonzero distance as bandwidth
-		// (self-tuning, scale free). The bandwidth sample is collected
-		// serially in (i, j) order after the parallel fill so the median
-		// input — and with it every kernel weight — is independent of
-		// scheduling.
+		// Pairwise distances, then a Gaussian kernel with the median
+		// nonzero distance as bandwidth (self-tuning, scale free).
 		dists := DistanceMatrix(x)
 		all := make([]float64, 0, p*(p-1)/2)
 		for i := 0; i < p; i++ {
@@ -119,16 +105,11 @@ func SimilarityMatrixOpts(x *mat.Dense, metric Metric, opts SimilarityOptions) (
 		if gamma <= 0 {
 			gamma = 1
 		}
-		// Row-parallel: task i fills the strict upper-triangle entries of
-		// row i (and their mirrors) — disjoint elements, unchanged
-		// per-pair arithmetic. Errors are collected per row so the
-		// reported failure is the lexicographically smallest (i, j) pair
-		// regardless of scheduling.
-		corrRow := func(i int) error {
+		for i := 0; i < p; i++ {
 			for j := i + 1; j < p; j++ {
 				r, err := stats.Pearson(x.RawRow(i), x.RawRow(j))
 				if err != nil {
-					return fmt.Errorf("cluster: correlation of rows %d,%d: %w", i, j, err)
+					return nil, fmt.Errorf("cluster: correlation of rows %d,%d: %w", i, j, err)
 				}
 				if r < 0 {
 					r = 0 // anti-correlated sensors share no edge
@@ -136,27 +117,6 @@ func SimilarityMatrixOpts(x *mat.Dense, metric Metric, opts SimilarityOptions) (
 				r = math.Pow(r, gamma)
 				w.Set(i, j, r)
 				w.Set(j, i, r)
-			}
-			return nil
-		}
-		if p*p*n/2 >= pairParFlops {
-			errs := make([]error, p)
-			if err := par.ForEach(nil, 0, p, func(i int) error {
-				errs[i] = corrRow(i)
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for i := 0; i < p; i++ {
-				if err := corrRow(i); err != nil {
-					return nil, err
-				}
 			}
 		}
 	default:
@@ -564,30 +524,15 @@ func SingleLinkage(dist *mat.Dense, k int) ([]int, error) {
 
 // DistanceMatrix returns pairwise Euclidean distances between the rows
 // of x.
-//
-// Large inputs (~p*p*n/2 >= pairParFlops element operations) are filled
-// row-parallel over the par worker pool: task i computes the pairs
-// (i, j) for j > i and writes d[i][j] and its mirror d[j][i] — every
-// matrix element is written by exactly one task with the serial
-// arithmetic, so the result is bit-for-bit identical at any worker
-// count. The triangular row costs are unbalanced, which the pool's
-// dynamic task claiming absorbs.
 func DistanceMatrix(x *mat.Dense) *mat.Dense {
-	p, n := x.Dims()
+	p, _ := x.Dims()
 	d := mat.NewDense(p, p)
-	distRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < p; j++ {
-				v := mat.Dist2(x.RawRow(i), x.RawRow(j))
-				d.Set(i, j, v)
-				d.Set(j, i, v)
-			}
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p; j++ {
+			v := mat.Dist2(x.RawRow(i), x.RawRow(j))
+			d.Set(i, j, v)
+			d.Set(j, i, v)
 		}
-	}
-	if p*p*n/2 >= pairParFlops {
-		par.For(0, p, 1, distRows)
-	} else {
-		distRows(0, p)
 	}
 	return d
 }

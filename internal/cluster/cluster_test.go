@@ -125,6 +125,46 @@ func TestSimilarityMatrixErrors(t *testing.T) {
 	}
 }
 
+// TestSimilarityCorrelationConstantRows: zero-variance rows score
+// correlation 0, so a constant sensor carries no edge instead of
+// failing the build.
+func TestSimilarityCorrelationConstantRows(t *testing.T) {
+	x := benchTraces()
+	_, n := x.Dims()
+	for _, i := range []int{4, 9} {
+		for k := 0; k < n; k++ {
+			x.Set(i, k, 21)
+		}
+	}
+	w, err := SimilarityMatrix(x, Correlation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.At(0, 4) != 0 || w.At(9, 4) != 0 {
+		t.Fatalf("constant rows should carry zero weight, got %v and %v", w.At(0, 4), w.At(9, 4))
+	}
+}
+
+// TestDistanceMatrixSmallStaysExact pins exact distances and the zero
+// diagonal on a small input.
+func TestDistanceMatrixSmallStaysExact(t *testing.T) {
+	x := mat.NewDenseData(3, 2, []float64{
+		0, 0,
+		3, 4,
+		0, 1,
+	})
+	d := DistanceMatrix(x)
+	if d.At(0, 1) != 5 || d.At(1, 0) != 5 {
+		t.Errorf("d(0,1) = %v, want 5", d.At(0, 1))
+	}
+	if d.At(0, 2) != 1 || d.At(2, 2) != 0 {
+		t.Errorf("d(0,2) = %v, d(2,2) = %v", d.At(0, 2), d.At(2, 2))
+	}
+	if math.Abs(d.At(1, 2)-math.Hypot(3, 3)) > 1e-15 {
+		t.Errorf("d(1,2) = %v", d.At(1, 2))
+	}
+}
+
 func TestLaplacianRowSumsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	x, _ := twoBlobTraces(rng, 4, 4, 30, 2)

@@ -171,6 +171,61 @@ func TestSpectralRadius(t *testing.T) {
 	}
 }
 
+// TestSpectralRadiusHugeEntries is the regression test for the
+// overflow collapse: pre-fix, power iteration on a matrix with
+// ~1e308-magnitude entries normalized its iterate against an +Inf norm
+// and silently reported spectral radius 0 — letting sysid's stability
+// projection wave a divergent model through untouched.
+func TestSpectralRadiusHugeEntries(t *testing.T) {
+	h := 1e308
+	a := NewDenseData(2, 2, []float64{h, h, h, h}) // true radius 2e308 (= +Inf in float64)
+	rho, err := SpectralRadius(a, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rho < h {
+		t.Fatalf("SpectralRadius = %v, want >= %v (pre-fix collapsed to 0)", rho, h)
+	}
+
+	// A merely-huge (non-overflowing radius) case must come back
+	// finite and accurate.
+	b := NewDenseData(2, 2, []float64{1e200, 0, 0, 2e200})
+	rho, err = SpectralRadius(b, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(rho, 0) || math.Abs(rho-2e200)/2e200 > 1e-9 {
+		t.Fatalf("SpectralRadius = %v, want ~2e200", rho)
+	}
+}
+
+// TestSpectralRadiusNonFinite: NaN/Inf entries must be rejected, not
+// silently scored as radius 0 (NaN loses every comparison inside power
+// iteration).
+func TestSpectralRadiusNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		a := NewDenseData(2, 2, []float64{bad, 0, 0, 0.5})
+		if _, err := SpectralRadius(a, 100); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("entry %v: err = %v, want ErrNonFinite", bad, err)
+		}
+	}
+}
+
+// TestSpectralRadiusUnscaledPathUnchanged pins the ordinary-magnitude
+// path to its exact historical estimates (no rescaling perturbation).
+func TestSpectralRadiusUnscaledPathUnchanged(t *testing.T) {
+	a := NewDenseData(2, 2, []float64{0.9, 0.3, 0.1, 0.5})
+	rho, err := SpectralRadius(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eigenvalues of [[.9,.3],[.1,.5]]: (1.4 ± sqrt(0.16+0.12))/2.
+	want := (1.4 + math.Sqrt(0.28)) / 2
+	if math.Abs(rho-want) > 1e-9 {
+		t.Fatalf("SpectralRadius = %v, want %v", rho, want)
+	}
+}
+
 // spectralRadiusRef is the plain form of SpectralRadius's estimate:
 // one restart at a time, one fresh MulVec slice per iteration. It is
 // the oracle the multi-restart kernel must match bit for bit.

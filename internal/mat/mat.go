@@ -14,25 +14,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"auditherm/internal/par"
-)
-
-// Parallelism thresholds: a kernel only fans out over the par worker
-// pool once its flop count clears these floors, so the small systems
-// that dominate unit tests and nested per-sensor fits stay on the
-// zero-overhead serial path. The parallel decomposition is row- (or
-// column-) disjoint and performs exactly the serial arithmetic per
-// output element, so results are bit-for-bit identical to the serial
-// path at any worker count.
-const (
-	// mulParFlops gates Dense.Mul (rows*inner*cols fused mul-adds).
-	mulParFlops = 1 << 17
-	// mulVecParFlops gates Dense.MulVec (rows*cols mul-adds).
-	mulVecParFlops = 1 << 15
-	// qrPanelParFlops gates the Householder panel update ((m-k)*(n-k)
-	// mul-adds per reflector application).
-	qrPanelParFlops = 1 << 15
 )
 
 // ErrShape is returned (wrapped) when operand dimensions are incompatible.
@@ -52,21 +33,33 @@ type Dense struct {
 }
 
 // NewDense returns a zero-initialized r-by-c matrix.
-// It panics if r or c is negative.
+// It panics if r or c is negative or r*c overflows int.
 func NewDense(r, c int) *Dense {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
-	}
+	checkDims(r, c)
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
 // NewDenseData returns an r-by-c matrix backed by data (row-major).
-// The slice is used directly, not copied. It panics if len(data) != r*c.
+// The slice is used directly, not copied. It panics if r or c is
+// negative, r*c overflows int, or len(data) != r*c.
 func NewDenseData(r, c int, data []float64) *Dense {
+	checkDims(r, c)
 	if len(data) != r*c {
 		panic(fmt.Sprintf("mat: data length %d does not match %dx%d", len(data), r, c))
 	}
 	return &Dense{rows: r, cols: c, data: data}
+}
+
+// checkDims panics unless r-by-c is a shape whose element count r*c
+// is a non-negative int: a wrapped product would let a huge shape pass
+// a length check against a short slice.
+func checkDims(r, c int) {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
+	}
+	if c > 0 && r > math.MaxInt/c {
+		panic(fmt.Sprintf("mat: dimension %dx%d overflows int", r, c))
+	}
 }
 
 // Identity returns the n-by-n identity matrix.
@@ -207,59 +200,36 @@ func (m *Dense) sameShape(b *Dense) {
 
 // Mul returns the matrix product m*b as a new matrix.
 // It panics if the inner dimensions disagree.
-//
-// Large products (>= mulParFlops fused mul-adds) are computed with
-// row-blocked parallelism over the par worker pool; each output row is
-// produced by exactly the serial inner loop, so the result is
-// bit-for-bit identical to the serial path at any worker count.
 func (m *Dense) Mul(b *Dense) *Dense {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("mat: cannot multiply %dx%d by %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
 	out := NewDense(m.rows, b.cols)
-	mulRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.RawRow(i)
-			orow := out.RawRow(i)
-			for k, a := range arow {
-				if a == 0 {
-					continue
-				}
-				brow := b.RawRow(k)
-				for j, bv := range brow {
-					orow[j] += a * bv
-				}
+	for i := 0; i < m.rows; i++ {
+		arow := m.RawRow(i)
+		orow := out.RawRow(i)
+		for k, a := range arow {
+			if a == 0 {
+				continue
+			}
+			brow := b.RawRow(k)
+			for j, bv := range brow {
+				orow[j] += a * bv
 			}
 		}
-	}
-	if m.rows*m.cols*b.cols >= mulParFlops {
-		par.For(0, m.rows, 1, mulRows)
-	} else {
-		mulRows(0, m.rows)
 	}
 	return out
 }
 
 // MulVec returns the matrix-vector product m*x as a new slice.
 // It panics if len(x) != Cols().
-//
-// Large products are row-parallel over the par worker pool with
-// bit-identical results to the serial path (each output element is one
-// unchanged dot product).
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.cols {
 		panic(fmt.Sprintf("mat: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(x)))
 	}
 	out := make([]float64, m.rows)
-	dotRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Dot(m.RawRow(i), x)
-		}
-	}
-	if m.rows*m.cols >= mulVecParFlops {
-		par.For(0, m.rows, 8, dotRows)
-	} else {
-		dotRows(0, m.rows)
+	for i := range out {
+		out[i] = Dot(m.RawRow(i), x)
 	}
 	return out
 }

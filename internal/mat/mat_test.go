@@ -54,6 +54,29 @@ func TestNewDenseDataBadLengthPanics(t *testing.T) {
 	NewDenseData(2, 3, []float64{1, 2, 3})
 }
 
+// TestNewDenseDataBadDimsPanic: shapes whose r*c wraps or whose signs
+// cancel must not pass the length check. Each used to be accepted:
+// 2^32 x 2^32 wraps to 0 elements and -1 x -1 multiplies to 1.
+func TestNewDenseDataBadDimsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		r, c int
+		data []float64
+	}{
+		{1 << 32, 1 << 32, nil},
+		{-1, -1, []float64{1}},
+		{-2, 0, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDenseData(%d, %d, %d values) did not panic", tc.r, tc.c, len(tc.data))
+				}
+			}()
+			NewDenseData(tc.r, tc.c, tc.data)
+		}()
+	}
+}
+
 func TestAtOutOfRangePanics(t *testing.T) {
 	m := NewDense(2, 2)
 	cases := [][2]int{{-1, 0}, {0, -1}, {2, 0}, {0, 2}}

@@ -3,8 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-
-	"auditherm/internal/par"
 )
 
 // QR holds a Householder QR factorization of an m-by-n matrix with
@@ -41,26 +39,16 @@ func NewQR(a *Dense) (*QR, error) {
 			qr.Set(i, k, qr.At(i, k)/nrm)
 		}
 		qr.Set(k, k, qr.At(k, k)+1)
-		// Apply the reflector to the remaining columns. Each trailing
-		// column update is independent (reads column k, read-writes its
-		// own column), so large panels fan out over the par worker pool
-		// with bit-identical per-column arithmetic.
-		applyCols := func(jlo, jhi int) {
-			for j := k + 1 + jlo; j < k+1+jhi; j++ {
-				var s float64
-				for i := k; i < m; i++ {
-					s += qr.At(i, k) * qr.At(i, j)
-				}
-				s = -s / qr.At(k, k)
-				for i := k; i < m; i++ {
-					qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
-				}
+		// Apply the reflector to the remaining columns.
+		for j := k + 1; j < n; j++ {
+			var s float64
+			for i := k; i < m; i++ {
+				s += qr.At(i, k) * qr.At(i, j)
 			}
-		}
-		if trailing := n - k - 1; trailing > 0 && (m-k)*trailing >= qrPanelParFlops {
-			par.For(0, trailing, 1, applyCols)
-		} else if trailing > 0 {
-			applyCols(0, trailing)
+			s = -s / qr.At(k, k)
+			for i := k; i < m; i++ {
+				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+			}
 		}
 		rdia[k] = -nrm
 	}
@@ -160,29 +148,20 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 }
 
 // SolveMatrix solves the least-squares problem for each column of B,
-// returning the n-by-c solution matrix. Columns are independent
-// back-substitutions, so they run column-parallel over the par worker
-// pool (deterministic: per-column arithmetic is the serial one and the
-// lowest failing column's error is reported).
+// returning the n-by-c solution matrix. On failure it reports the
+// lowest failing column.
 func (f *QR) SolveMatrix(b *Dense) (*Dense, error) {
-	m, _ := f.qr.Dims()
+	m, n := f.qr.Dims()
 	br, bc := b.Dims()
 	if br != m {
 		return nil, fmt.Errorf("mat: QR solve with %dx%d rhs for %d-row system: %w", br, bc, m, ErrShape)
 	}
-	_, n := f.qr.Dims()
 	out := NewDense(n, bc)
-	cols, err := par.Map(nil, 0, bc, func(j int) ([]float64, error) {
+	for j := 0; j < bc; j++ {
 		x, err := f.Solve(b.Col(j))
 		if err != nil {
 			return nil, fmt.Errorf("mat: solving column %d: %w", j, err)
 		}
-		return x, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for j, x := range cols {
 		out.SetCol(j, x)
 	}
 	return out, nil

@@ -10,7 +10,7 @@ var (
 	tasksTotal = obs.NewCounter("auditherm_par_tasks_total",
 		"Tasks dispatched to parallel batches (serial fast-path excluded).")
 	batchesTotal = obs.NewCounter("auditherm_par_batches_total",
-		"Parallel batches executed (ForEach/ForEachChunk/Map/For invocations that went parallel).")
+		"Parallel batches executed (ForEach invocations that went parallel).")
 	queueDepth = obs.NewGauge("auditherm_par_queue_depth",
 		"Tasks currently enqueued and not yet claimed by a worker.")
 	workersBusy = obs.NewGauge("auditherm_par_workers_busy",

@@ -1,29 +1,27 @@
-// Package par is auditherm's deterministic parallel-execution layer:
-// a small, zero-dependency bounded worker pool with parallel-for and
-// map helpers used by the fit / cluster / linear-algebra / simulation
-// hot paths.
+// Package par is auditherm's coarse-grained parallel-execution layer:
+// a small, zero-dependency bounded worker pool behind one call,
+// ForEach. Two callers fan out over it: the pipeline's dependency
+// resolution (which is how fleet members and DAG branches run
+// concurrently) and sysid.FitDecoupled's per-sensor fits. The numeric
+// kernels underneath (mat, cluster, building) are serial.
 //
 // Design contract:
 //
 //   - Bounded workers. Every invocation runs on at most `workers`
 //     goroutines (0 selects the process default, see DefaultWorkers).
 //     Tasks are claimed dynamically off a single atomic cursor, so
-//     uneven task costs (e.g. triangular pairwise loops) balance
-//     automatically.
-//   - Deterministic, index-ordered assembly. Results are written into
-//     caller-owned slots keyed by task index and each task performs
-//     exactly the arithmetic the serial loop would, so outputs are
-//     bit-for-bit identical to the serial path regardless of worker
-//     count. Errors are deterministic too when callers collect them
-//     per-index (see Map); the convenience ForEach reports the first
-//     error observed, which may depend on scheduling.
+//     uneven task costs balance automatically.
+//   - Index-keyed outputs. Tasks write caller-owned slots keyed by task
+//     index, so results do not depend on the worker count. ForEach
+//     reports the first error observed, which may depend on
+//     scheduling; callers that need a deterministic error collect
+//     errors per index and report the lowest (as FitDecoupled does).
 //   - Panic capture and rethrow. A panicking task does not crash an
 //     anonymous worker goroutine (which would kill the process with a
 //     useless stack); the panic is captured with its stack and
 //     rethrown in the calling goroutine as a *PanicError.
-//   - Context cancellation. The ctx-taking variants stop claiming new
-//     tasks once ctx is done and return ctx.Err(); already-running
-//     tasks finish.
+//   - Context cancellation. ForEach stops claiming new tasks once ctx
+//     is done and returns ctx.Err(); already-running tasks finish.
 //
 // Instrumentation (auditherm_par_* series on the obs Default registry)
 // counts dispatched tasks and parallel batches and tracks live queue
@@ -87,31 +85,24 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("par: task panicked: %v", e.Value) }
 
-// chunksPerWorker oversubscribes the task queue relative to the worker
-// count so dynamic claiming can balance uneven task costs without the
-// scheduling overhead of one-task-per-index granularity.
-const chunksPerWorker = 8
-
-func resolveWorkers(workers, tasks int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	return workers
-}
-
-// runTasks is the core dispatcher: fn(0..tasks-1) on up to `workers`
-// goroutines. It returns the first error observed (scheduling-order
-// dependent when tasks race to fail) and rethrows captured panics.
-func runTasks(ctx context.Context, workers, tasks int, fn func(t int) error) error {
-	if tasks <= 0 {
+// ForEach runs fn(i) for every i in [0, n) on up to `workers`
+// goroutines (0 selects the default). It stops claiming new indices on
+// the first error or when ctx is done, and returns the first error
+// observed. Captured task panics are rethrown as *PanicError. ctx may
+// be nil: the batch is then not cancellable and opens no worker spans.
+func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
+	if n <= 0 {
 		return nil
 	}
-	w := resolveWorkers(workers, tasks)
+	w := workers
+	if w <= 0 {
+		w = DefaultWorkers()
+	}
+	if w > n {
+		w = n
+	}
 	if w <= 1 {
-		for t := 0; t < tasks; t++ {
+		for i := 0; i < n; i++ {
 			if ctx != nil {
 				select {
 				case <-ctx.Done():
@@ -119,7 +110,7 @@ func runTasks(ctx context.Context, workers, tasks int, fn func(t int) error) err
 				default:
 				}
 			}
-			if err := fn(t); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -127,14 +118,13 @@ func runTasks(ctx context.Context, workers, tasks int, fn func(t int) error) err
 	}
 
 	batchesTotal.Inc()
-	tasksTotal.Add(int64(tasks))
-	queueDepth.Add(float64(tasks))
+	tasksTotal.Add(int64(n))
+	queueDepth.Add(float64(n))
 	workersBusy.Add(float64(w))
 
 	// When the submitting context carries a span, each worker opens a
 	// child span so the trace attributes batch work to the workers that
-	// ran it. ctx may be nil (the numeric-kernel For path), which stays
-	// span-free by design.
+	// ran it.
 	var parent *obs.Span
 	if ctx != nil {
 		parent = obs.SpanFromContext(ctx)
@@ -185,13 +175,13 @@ func runTasks(ctx context.Context, workers, tasks int, fn func(t int) error) err
 					default:
 					}
 				}
-				t := int(cursor.Add(1)) - 1
-				if t >= tasks {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
 				queueDepth.Add(-1) // claimed (decrement now so a panicking task cannot strand depth)
 				claimed++
-				if err := fn(t); err != nil {
+				if err := fn(i); err != nil {
 					if wsp != nil {
 						wsp.SetError(err)
 					}
@@ -204,92 +194,11 @@ func runTasks(ctx context.Context, workers, tasks int, fn func(t int) error) err
 	wg.Wait()
 	workersBusy.Add(-float64(w))
 	// An aborted batch leaves unclaimed tasks on the queue gauge.
-	if claimed := cursor.Load(); claimed < int64(tasks) {
-		queueDepth.Add(float64(claimed) - float64(tasks))
+	if claimed := cursor.Load(); claimed < int64(n) {
+		queueDepth.Add(float64(claimed) - float64(n))
 	}
 	if pe, ok := first.(*PanicError); ok {
 		panic(pe)
 	}
 	return first
-}
-
-// ForEach runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines (0 selects the default). It stops claiming new indices on
-// the first error or when ctx is done, and returns the first error
-// observed. Captured task panics are rethrown as *PanicError.
-func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return runTasks(ctx, workers, n, fn)
-}
-
-// ForEachChunk partitions [0, n) into contiguous index chunks of at
-// least minChunk and runs fn(lo, hi) for each. Chunk boundaries are a
-// pure function of n, minChunk and the resolved worker count; outputs
-// must be written per index, so results do not depend on them.
-func ForEachChunk(ctx context.Context, workers, n, minChunk int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	w := resolveWorkers(workers, n)
-	chunk := ceilDiv(n, maxInt(1, w*chunksPerWorker))
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	tasks := ceilDiv(n, chunk)
-	return runTasks(ctx, w, tasks, func(t int) error {
-		lo := t * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	})
-}
-
-// Map runs fn for every index in [0, n) and assembles the results in
-// index order, so the output slice is identical to the serial loop's
-// whatever the worker count. On error it returns the error of the
-// LOWEST failing index (deterministic) alongside a nil slice.
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	runErr := runTasks(ctx, workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			errs[i] = err
-			return nil // keep going: lowest-index error wins afterwards
-		}
-		out[i] = v
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if runErr != nil { // context cancellation
-		return nil, runErr
-	}
-	return out, nil
-}
-
-// For is the numeric-kernel parallel-for: fn(lo, hi) over contiguous
-// chunks of [0, n) with no context and no error plumbing. Task panics
-// are rethrown in the caller. Pass workers = 0 for the default.
-func For(workers, n, minChunk int, fn func(lo, hi int)) {
-	_ = ForEachChunk(nil, workers, n, minChunk, func(lo, hi int) error {
-		fn(lo, hi)
-		return nil
-	})
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -44,57 +44,6 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestMapDeterministicAssembly proves index-ordered results are
-// identical across worker counts (the determinism contract the numeric
-// hot paths rely on).
-func TestMapDeterministicAssembly(t *testing.T) {
-	const n = 100
-	fn := func(i int) (float64, error) {
-		// Arithmetic whose float result depends on the index only.
-		v := 1.0
-		for k := 0; k < i%17; k++ {
-			v = v*1.0000001 + float64(i)*1e-9
-		}
-		return v, nil
-	}
-	ref, err := Map(context.Background(), 1, n, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3, 8} {
-		got, err := Map(context.Background(), w, n, fn)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: index %d = %x, serial %x", w, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
-// TestMapLowestIndexError checks error determinism: with multiple
-// failing tasks, the lowest failing index's error is reported whatever
-// the scheduling order.
-func TestMapLowestIndexError(t *testing.T) {
-	wantErr := errors.New("boom-7")
-	for _, w := range []int{1, 4, 16} {
-		_, err := Map(context.Background(), w, 64, func(i int) (int, error) {
-			if i == 7 {
-				return 0, wantErr
-			}
-			if i > 7 && i%3 == 0 {
-				return 0, fmt.Errorf("boom-%d", i)
-			}
-			return i, nil
-		})
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("workers=%d: err = %v, want %v", w, err, wantErr)
-		}
-	}
-}
-
 func TestForEachFirstErrorStopsClaiming(t *testing.T) {
 	var ran atomic.Int64
 	sentinel := errors.New("stop")
@@ -165,58 +114,6 @@ func TestPanicCaptureRethrow(t *testing.T) {
 				return nil
 			})
 		}()
-	}
-}
-
-// TestForEachChunkCoversRange checks chunked dispatch tiles [0, n)
-// exactly, respecting minChunk.
-func TestForEachChunkCoversRange(t *testing.T) {
-	for _, tc := range []struct{ n, minChunk, workers int }{
-		{1000, 1, 4}, {1000, 64, 4}, {7, 64, 4}, {1, 1, 8}, {0, 1, 4},
-	} {
-		var covered atomic.Int64
-		seen := make([]atomic.Int64, tc.n)
-		err := ForEachChunk(context.Background(), tc.workers, tc.n, tc.minChunk, func(lo, hi int) error {
-			if hi-lo < 1 {
-				return fmt.Errorf("empty chunk [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-			covered.Add(int64(hi - lo))
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		if covered.Load() != int64(tc.n) {
-			t.Fatalf("%+v: covered %d of %d", tc, covered.Load(), tc.n)
-		}
-		for i := range seen {
-			if seen[i].Load() != 1 {
-				t.Fatalf("%+v: index %d covered %d times", tc, i, seen[i].Load())
-			}
-		}
-	}
-}
-
-// TestForParallelSum is a -race workout: concurrent chunk writers into
-// disjoint slots of one slice, the sharing pattern every parallelized
-// hot path uses.
-func TestForParallelSum(t *testing.T) {
-	const n = 100_000
-	out := make([]float64, n)
-	For(8, n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = float64(i) * 0.5
-		}
-	})
-	var sum float64
-	for _, v := range out {
-		sum += v
-	}
-	if want := 0.5 * float64(n) * float64(n-1) / 2; sum != want {
-		t.Fatalf("sum = %v, want %v", sum, want)
 	}
 }
 

@@ -1,35 +1,30 @@
 package sysid
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// BenchmarkFitDecoupled measures the per-sensor decoupled fit at
-// several worker counts (p=28 sensors as in the paper's auditorium,
-// one day of minute data). ReportAllocs makes the shared-inputs /
+// BenchmarkFitDecoupled measures the per-sensor decoupled fit (p=28
+// sensors as in the paper's auditorium, one day of minute data) at the
+// process default worker count. ReportAllocs makes the shared-inputs /
 // shared-mask satellite fix visible as an allocation drop.
 func BenchmarkFitDecoupled(b *testing.B) {
 	rng := rand.New(rand.NewSource(81))
 	sys := wideSynth(28)
 	d := sys.generate(rng, 1440, 0.01)
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := Options{Ridge: 1e-6, Workers: w}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := FitDecoupled(d, fullWindow(d), FirstOrder, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := Options{Ridge: 1e-6}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitDecoupled(d, fullWindow(d), FirstOrder, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkFit measures the coupled joint solve (QR-dominated) for
-// comparison; its parallelism lives inside mat's blocked kernels.
+// comparison; it runs serially on the calling goroutine.
 func BenchmarkFit(b *testing.B) {
 	rng := rand.New(rand.NewSource(82))
 	sys := wideSynth(28)

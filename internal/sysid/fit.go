@@ -92,10 +92,6 @@ type Options struct {
 	// power-iteration estimate that can read above the true radius, so
 	// some already-stable fits are shrunk too.
 	StabilityRadius float64
-	// Workers bounds the per-sensor parallelism of FitDecoupled.
-	// Zero selects the process default (par.DefaultWorkers). Results
-	// are bit-for-bit identical at any worker count.
-	Workers int
 }
 
 // DefaultOptions returns the options used throughout the paper
@@ -382,9 +378,9 @@ func (m *Model) stabilize(eqs *equations, opts Options) error {
 // A entries capture.
 //
 // The p per-sensor fits are fully decoupled (paper eq. 1-2 with a
-// scalar state), so they run in parallel over the par worker pool —
-// opts.Workers bounds the fan-out, 0 selects the process default —
-// with bit-for-bit identical results at any worker count. The shared
+// scalar state), so they run in parallel over the par worker pool at
+// the process default worker count, with bit-for-bit identical results
+// at any worker count. The shared
 // input matrix and the input-channel validity mask are computed once
 // and shared across all p fits (previously every fit deep-cloned the
 // full m x N input matrix and recomputed the whole mask).
@@ -421,7 +417,7 @@ func FitDecoupled(d Data, windows []timeseries.Segment, order Order, opts Option
 	// the reported error is the lowest failing sensor's, independent
 	// of scheduling.
 	errs := make([]error, p)
-	runErr := par.ForEach(nil, opts.Workers, p, func(i int) error {
+	runErr := par.ForEach(nil, 0, p, func(i int) error {
 		row := d.Temps.RawRow(i)
 		mask := make([]bool, n)
 		for k, ok := range inputMask {

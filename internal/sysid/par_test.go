@@ -9,8 +9,17 @@ import (
 	"testing"
 
 	"auditherm/internal/mat"
+	"auditherm/internal/par"
 	"auditherm/internal/timeseries"
 )
+
+// withWorkers runs fn under a temporary process-wide default worker
+// count, the pool size FitDecoupled fans out over.
+func withWorkers(w int, fn func()) {
+	prev := par.SetDefaultWorkers(w)
+	defer par.SetDefaultWorkers(prev)
+	fn()
+}
 
 // denseBitEqual fails the test unless got and want match element for
 // element with zero tolerance (the parallel paths must be bit-for-bit
@@ -60,13 +69,17 @@ func TestFitDecoupledParallelDeterminism(t *testing.T) {
 	// Punch a few per-sensor holes so validity masks differ by sensor.
 	d.Temps.Set(3, 40, math.NaN())
 	d.Temps.Set(7, 41, math.NaN())
+	opts := Options{Ridge: 1e-6}
 	for _, order := range []Order{FirstOrder, SecondOrder} {
-		ref, err := FitDecoupled(d, fullWindow(d), order, Options{Ridge: 1e-6, Workers: 1})
+		var ref *Model
+		var err error
+		withWorkers(1, func() { ref, err = FitDecoupled(d, fullWindow(d), order, opts) })
 		if err != nil {
 			t.Fatalf("%v serial: %v", order, err)
 		}
 		for _, w := range []int{1, 3, 8} {
-			got, err := FitDecoupled(d, fullWindow(d), order, Options{Ridge: 1e-6, Workers: w})
+			var got *Model
+			withWorkers(w, func() { got, err = FitDecoupled(d, fullWindow(d), order, opts) })
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", order, w, err)
 			}
@@ -93,7 +106,8 @@ func TestFitDecoupledDeterministicError(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 3, 8} {
-		_, err := FitDecoupled(d, fullWindow(d), FirstOrder, Options{Workers: w})
+		var err error
+		withWorkers(w, func() { _, err = FitDecoupled(d, fullWindow(d), FirstOrder, Options{}) })
 		if !errors.Is(err, ErrInsufficientData) {
 			t.Fatalf("workers=%d: err = %v, want ErrInsufficientData", w, err)
 		}
@@ -130,17 +144,20 @@ func TestFitDecoupledAllocationDrop(t *testing.T) {
 	sys := wideSynth(p)
 	d := sys.generate(rng, n, 0.01)
 	window := []timeseries.Segment{{Start: 0, End: 200}}
-	// Warm up once (metric registration, pool init).
-	if _, err := FitDecoupled(d, window, FirstOrder, Options{Ridge: 1e-6, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Ridge: 1e-6}
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if _, err := FitDecoupled(d, window, FirstOrder, Options{Ridge: 1e-6, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
+	withWorkers(1, func() {
+		// Warm up once (metric registration, pool init).
+		if _, err := FitDecoupled(d, window, FirstOrder, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := FitDecoupled(d, window, FirstOrder, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+	})
 	alloc := after.TotalAlloc - before.TotalAlloc
 	// The pre-fix input clones alone cost p*m*n*8 = 8*2*20000*8 ≈ 2.6 MB
 	// and the p full-mask recomputations another p*(p+m)*n temporaries;

@@ -77,8 +77,8 @@ func (m *Model) Save(w io.Writer, names *ModelNames) error {
 }
 
 // Load reads a model written by Save, returning the model and any
-// names stored with it. A file without a spectral radius gets it
-// computed here, once.
+// names stored with it. A file without a spectral radius, or with a
+// zero one, gets it computed here, once.
 func Load(r io.Reader) (*Model, *ModelNames, error) {
 	var dec modelJSON
 	if err := json.NewDecoder(r).Decode(&dec); err != nil {
@@ -95,11 +95,11 @@ func Load(r io.Reader) (*Model, *ModelNames, error) {
 	if p <= 0 || mi <= 0 {
 		return nil, nil, fmt.Errorf("sysid: persisted dimensions %dx%d invalid", p, mi)
 	}
-	if len(dec.A) != p*p {
-		return nil, nil, fmt.Errorf("sysid: A has %d values, want %d", len(dec.A), p*p)
+	if !holds(dec.A, p, p) {
+		return nil, nil, fmt.Errorf("sysid: A has %d values, want %dx%d", len(dec.A), p, p)
 	}
-	if len(dec.B) != p*mi {
-		return nil, nil, fmt.Errorf("sysid: B has %d values, want %d", len(dec.B), p*mi)
+	if !holds(dec.B, p, mi) {
+		return nil, nil, fmt.Errorf("sysid: B has %d values, want %dx%d", len(dec.B), p, mi)
 	}
 	m := &Model{
 		Order: order,
@@ -107,8 +107,8 @@ func Load(r io.Reader) (*Model, *ModelNames, error) {
 		B:     mat.NewDenseData(p, mi, append([]float64(nil), dec.B...)),
 	}
 	if order == SecondOrder {
-		if len(dec.A2) != p*p {
-			return nil, nil, fmt.Errorf("sysid: A2 has %d values, want %d", len(dec.A2), p*p)
+		if !holds(dec.A2, p, p) {
+			return nil, nil, fmt.Errorf("sysid: A2 has %d values, want %dx%d", len(dec.A2), p, p)
 		}
 		m.A2 = mat.NewDenseData(p, p, append([]float64(nil), dec.A2...))
 	} else if len(dec.A2) != 0 {
@@ -122,12 +122,15 @@ func Load(r io.Reader) (*Model, *ModelNames, error) {
 			return nil, nil, fmt.Errorf("sysid: %d persisted input names for %d inputs", len(dec.Names.Inputs), mi)
 		}
 	}
-	if r := dec.SpectralRadius; r != nil {
-		if *r < 0 {
-			return nil, nil, fmt.Errorf("sysid: persisted spectral radius %v negative", *r)
-		}
+	switch r := dec.SpectralRadius; {
+	case r != nil && *r < 0:
+		return nil, nil, fmt.Errorf("sysid: persisted spectral radius %v negative", *r)
+	case r != nil && *r > 0:
 		m.rho = *r
-	} else {
+	default:
+		// A persisted 0 reads as unrecorded (see Model.rho), so it is
+		// computed here too; otherwise dynamics whose radius cannot be
+		// computed would load and then fail to save.
 		rho, err := m.spectralRadius()
 		if err != nil {
 			return nil, nil, fmt.Errorf("sysid: persisted dynamics: %w", err)
@@ -135,6 +138,13 @@ func Load(r io.Reader) (*Model, *ModelNames, error) {
 		m.rho = rho
 	}
 	return m, dec.Names, nil
+}
+
+// holds reports whether v has exactly r*c values for r, c > 0. It
+// divides instead of multiplying, so dimensions whose product wraps
+// around int cannot match a short slice.
+func holds(v []float64, r, c int) bool {
+	return len(v)%r == 0 && len(v)/r == c
 }
 
 // flatten copies a matrix row-major.

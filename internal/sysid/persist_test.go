@@ -232,10 +232,22 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		{"missing A2", `{"version":1,"order":2,"sensors":1,"inputs":1,"a":[1],"b":[1]}`},
 		{"negative radius", `{"version":1,"order":1,"sensors":1,"inputs":1,"a":[0.5],"b":[1],"spectral_radius":-0.5}`},
 		{"bad names", `{"version":1,"order":1,"sensors":1,"inputs":1,"a":[1],"b":[1],"names":{"sensors":["a","b"]}}`},
+		// A zero radius used to skip the computation, so A+A2 = +Inf
+		// loaded and then failed to save.
+		{"zero radius, non-finite companion", `{"version":1,"order":2,"sensors":1,"inputs":1,"a":[1e308],"a2":[1e308],"b":[1],"spectral_radius":0}`},
+		// 2^32 x 2^32 wraps to 0 values: accepted as an empty model
+		// with a radius, and a panic without one.
+		{"overflowing dims", `{"version":1,"order":1,"sensors":4294967296,"inputs":4294967296,"a":[],"b":[],"spectral_radius":0.5}`},
+		{"overflowing dims, no radius", `{"version":1,"order":1,"sensors":4294967296,"inputs":4294967296,"a":[],"b":[]}`},
 	}
 	for _, c := range cases {
 		if _, _, err := Load(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+	// The error names the dimensions, not their wrapped product.
+	_, _, err := Load(strings.NewReader(cases[len(cases)-1].in))
+	if err == nil || !strings.Contains(err.Error(), "want 4294967296x4294967296") {
+		t.Errorf("overflowing dims: err = %v, want the dimensions named", err)
 	}
 }
