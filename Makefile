@@ -38,8 +38,10 @@ examples:
 # join the gate. The tracing subsystem
 # rides the same gate: obs spans mutate under par workers
 # (TestConcurrentSpanMutation drives StartChild/SetAttr/Event/End from
-# 8 goroutines against a live JSONL exporter), and internal/traceview
-# parses what they emit. Trace propagation widens the surface: Remote
+# 8 goroutines against a live JSONL exporter), 8 goroutines end spans
+# into the /debug/trace ring while another flushes and snapshots it
+# (TestTraceRingConcurrentExport), and internal/traceview parses what
+# they emit. Trace propagation widens the surface: Remote
 # fetch/put start client spans and inject X-Auditherm-Trace from 8
 # par workers under singleflight (TestRemoteTraceConcurrent), the
 # lock-free WireRef/sink parent walks ride every span End, and
@@ -73,10 +75,17 @@ flake:
 # FuzzModelCodecDecode / FuzzFrameCodecDecode: any bytes either fail
 # to decode or decode to a value whose encoding is a fixed point
 # (Encode -> Decode -> Encode gives the same bytes); nothing panics.
+# FuzzParseTraceRef: an accepted X-Auditherm-Trace ref has a 1-64-byte
+# printable-ASCII run id and re-parses from its wire form to itself.
+# FuzzTraceEncode: for any span name, attribute, event and error
+# strings the exported trace line is valid UTF-8 and valid JSON, and
+# decodes to the strings encoding/json's own round trip gives.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceRef$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceEncode$$' -fuzztime 10s ./internal/obs
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

@@ -75,7 +75,7 @@ func run(rt *cliutil.Runtime, days int, seed int64, out, truthOut string) error 
 	// and Close still flushes the trace, manifest and alert journal.
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 	t0 := time.Now()
 	d, err := sim.Get(ctx)
 	root.End()

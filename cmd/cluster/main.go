@@ -86,7 +86,7 @@ func run(rt *cliutil.Runtime, in, metricName string, k, onHour, offHour int) err
 	// and Close still flushes the trace, manifest and alert journal.
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 	ca, err := clusterNode.Get(ctx)
 	root.End()
 	if err != nil {

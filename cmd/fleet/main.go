@@ -100,7 +100,7 @@ func run(rt *cliutil.Runtime, cfg fleet.Config, out string) error {
 
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 	fmt.Printf("running %d-building fleet (%s), %d + %d days each...\n",
 		cfg.N, strings.Join(cfg.Archetypes, ","), cfg.Days, cfg.ControlDays)
 	rep, err := fleet.Run(ctx, eng, cfg)

@@ -141,7 +141,7 @@ func run(rt *cliutil.Runtime, name string, days int, setpoint, flow float64, see
 	// and Close still flushes the trace, manifest and alert journal.
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 	fmt.Printf("running %s controller over %d days (setpoint %.1f degC)...\n", name, days, setpoint)
 	res, err := node.Get(ctx)
 	root.End()

@@ -17,10 +17,10 @@
 //
 // where id is one of: table1, table2, fig2 ... fig11, control, virtual. -short skips the
 // slowest sweeps (Figures 7, 8, 10, 11). -metrics-addr serves live
-// /metrics, /debug/vars, and /debug/pprof while the run is in flight;
-// -manifest writes a JSON run manifest (provenance, per-stage wall/CPU
-// time, artifact digests with hit/miss, span tree, headline metrics)
-// when the run finishes.
+// /metrics, /debug/vars, /debug/pprof and /debug/trace while the run
+// is in flight; -manifest writes a JSON run manifest (provenance,
+// per-stage wall/CPU time, artifact digests with hit/miss, headline
+// metrics) when the run finishes.
 package main
 
 import (
@@ -74,7 +74,7 @@ func run(rt *cliutil.Runtime, w io.Writer, only string, short bool, cfg dataset.
 	// and Close still flushes the trace, manifest and alert journal.
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 
 	eng, err := rt.Engine(b)
 	if err != nil {

@@ -91,7 +91,7 @@ func run(rt *cliutil.Runtime, in string, k, seeds, onHour, offHour int, gpMode s
 	// and Close still flushes the trace, manifest and alert journal.
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 	sa, err := selNode.Get(ctx)
 	if err != nil {
 		return err

@@ -105,7 +105,7 @@ func run(rt *cliutil.Runtime, days int, simStep time.Duration, runDir string,
 	// cancels in-flight work.
 	ctx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	_, root := rt.Trace(context.Background(), b)
+	_, root := rt.Trace(context.Background())
 
 	srv, err := serve.New(serve.Config{
 		Dataset:       dcfg,

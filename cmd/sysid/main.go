@@ -104,7 +104,7 @@ func run(rt *cliutil.Runtime, in string, orderN int, modeName string, horizon ti
 	// and Close still flushes the trace, manifest and alert journal.
 	sigCtx, stop := rt.SignalContext(context.Background())
 	defer stop()
-	ctx, root := rt.Trace(sigCtx, b)
+	ctx, root := rt.Trace(sigCtx)
 	ev, err := evalNode.Get(ctx)
 	if err != nil {
 		return err

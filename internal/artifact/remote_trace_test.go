@@ -11,6 +11,7 @@ import (
 
 	"auditherm/internal/obs"
 	"auditherm/internal/par"
+	"auditherm/internal/traceview"
 )
 
 // startTracingArtifactServer mounts the /v1/artifacts handler behind a
@@ -84,19 +85,13 @@ func TestRemoteTracePropagation(t *testing.T) {
 	}
 
 	// The client spans recorded the server's run ID.
-	kids := root.Children()
+	kids := exportedChildren(t, tf, &buf, root)
 	if len(kids) != 2 {
 		t.Fatalf("root has %d children, want put+get", len(kids))
 	}
 	for _, sp := range kids {
-		found := false
-		for _, a := range sp.Attrs() {
-			if a.Key == "server_run" && a.Str == "daemonrun0000001" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("span %s missing server_run attr: %v", sp.Name, sp.Attrs())
+		if sp.Attrs["server_run"] != "daemonrun0000001" {
+			t.Errorf("span %s missing server_run attr: %v", sp.Name, sp.Attrs)
 		}
 	}
 
@@ -134,8 +129,11 @@ func TestRemoteTraceConcurrent(t *testing.T) {
 		}
 	}
 
+	var buf bytes.Buffer
+	tf := obs.NewTraceWriter(&buf, "clientrun0000002", "test")
 	root := obs.ClientSpan(ctx, "test/concurrent")
 	root.SetRunID("clientrun0000002")
+	root.SetSink(tf)
 	sctx := obs.ContextWithSpan(ctx, root)
 
 	const ops = 64
@@ -155,19 +153,37 @@ func TestRemoteTraceConcurrent(t *testing.T) {
 	}
 	root.End()
 
-	// Every fetch produced a client span under the root (up to the
-	// child bound), each resolving to the shared payload size.
+	// Every fetch produced a client span under the root, each
+	// resolving to the shared payload size.
 	var gets int
-	for _, sp := range root.Children() {
+	for _, sp := range exportedChildren(t, tf, &buf, root) {
 		if sp.Name != "artifact/remote.get" {
 			continue
 		}
 		gets++
-		if n := sp.Counts()["bytes"]; n != 256 {
-			t.Fatalf("get span bytes=%d, want 256 (attrs %v)", n, sp.Attrs())
+		if n := sp.Counts["bytes"]; n != 256 {
+			t.Fatalf("get span bytes=%d, want 256 (attrs %v)", n, sp.Attrs)
 		}
 	}
 	if gets != ops {
 		t.Fatalf("recorded %d get spans, want %d", gets, ops)
 	}
+}
+
+// exportedChildren flushes tf, reads back what it wrote to buf and
+// returns root's children as exported.
+func exportedChildren(t *testing.T, tf *obs.TraceFile, buf *bytes.Buffer, root *obs.Span) []*traceview.Span {
+	t.Helper()
+	if err := tf.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traceview.ReadTrace(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tr.Find(root.IDNum())
+	if sp == nil {
+		t.Fatalf("root span %s not exported", root.ID())
+	}
+	return sp.Children
 }

@@ -18,11 +18,13 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -34,7 +36,12 @@ import (
 	"auditherm/internal/obs"
 	"auditherm/internal/par"
 	"auditherm/internal/pipeline"
+	"auditherm/internal/traceview"
 )
+
+// TraceRingSpans is how many of the newest completed spans /debug/trace
+// keeps and renders.
+const TraceRingSpans = 2048
 
 // Common holds the values of the shared flags after flag.Parse.
 type Common struct {
@@ -59,7 +66,7 @@ type Common struct {
 // flag.CommandLine.
 func RegisterOn(fs *flag.FlagSet, c *Common) {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
-		"serve /metrics, /debug/vars, /debug/pprof, /healthz and /readyz on this address while running (\":0\" picks a port)")
+		"serve /metrics, /debug/vars, /debug/pprof, /debug/trace, /healthz and /readyz on this address while running (\":0\" picks a port)")
 	fs.StringVar(&c.Manifest, "manifest", "",
 		"write a JSON run manifest to this path on completion")
 	fs.IntVar(&c.Parallelism, "parallelism", par.DefaultWorkers(),
@@ -101,7 +108,8 @@ type Runtime struct {
 
 	common   *Common
 	journal  *monitor.Journal
-	trace    *obs.TraceFile
+	trace    *obs.TraceFile // the run's exporter: -trace file and/or ring
+	traceOut *os.File       // the -trace file under trace, or nil
 	root     *obs.Span
 	monitors []*monitor.Monitor
 
@@ -125,8 +133,11 @@ type Runtime struct {
 }
 
 // Start applies the parsed shared flags: sets the parallel worker
-// count, builds the run ID and logger, and starts the metrics server
-// when requested. Call flag.Parse first.
+// count, builds the run ID and logger, installs the span exporter,
+// and starts the metrics server when requested. The exporter encodes
+// each completed span once and writes the line to the -trace file
+// and, with -metrics-addr, to the ring /debug/trace renders. Call
+// flag.Parse first.
 func (c *Common) Start(tool string) (*Runtime, error) {
 	level, err := obs.ParseLevel(c.LogLevel)
 	if err != nil {
@@ -143,33 +154,65 @@ func (c *Common) Start(tool string) (*Runtime, error) {
 		logw = c.LogWriter
 	}
 	rt.Log = obs.NewLogger(logw, level, rt.RunID).With(slog.String("tool", tool))
+	var sinks []io.Writer
 	if c.Trace != "" {
-		t, err := obs.CreateTrace(c.Trace, rt.RunID, tool)
+		f, err := os.Create(c.Trace)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", tool, err)
+			return nil, fmt.Errorf("%s: creating trace file: %w", tool, err)
 		}
-		obs.SetTraceExporter(t)
-		rt.trace = t
-		rt.Log.Info("trace enabled", slog.String("path", t.Path()))
+		rt.traceOut = f
+		sinks = append(sinks, f)
+		rt.Log.Info("trace enabled", slog.String("path", c.Trace))
+	}
+	var ring *obs.TraceRing
+	if c.MetricsAddr != "" {
+		ring = obs.NewTraceRing(TraceRingSpans)
+		sinks = append(sinks, ring)
+	}
+	if len(sinks) > 0 {
+		rt.trace = obs.NewTraceWriter(io.MultiWriter(sinks...), rt.RunID, tool)
+		obs.SetTraceExporter(rt.trace)
 	}
 	if c.MetricsAddr != "" {
 		ms, err := obs.ServeMetrics(c.MetricsAddr, obs.Default)
 		if err != nil {
+			rt.Close()
 			return nil, fmt.Errorf("%s: %w", tool, err)
 		}
+		ms.Handle("/debug/trace", debugTrace(rt.trace, ring))
 		rt.Metrics = ms
 		fmt.Printf("metrics: %s/metrics\n", ms.URL())
 	}
 	return rt, nil
 }
 
-// Trace begins the run's root span (named after the tool) and wires it
-// into the shared surface: the manifest builder (when given), the
-// /debug/trace live report (when serving metrics), and any monitors
-// already attached — monitors attached later are wired by
-// AttachMonitor. The returned context carries the span; pass it to the
-// pipeline stages. Close ends the span if the caller has not.
-func (rt *Runtime) Trace(ctx context.Context, b *obs.ManifestBuilder) (context.Context, *obs.Span) {
+// debugTrace serves the newest completed spans the ring holds,
+// rendered like `tracetool report`. Flushing first makes every span
+// ended so far visible; open spans (the run root, in-flight requests)
+// show once they end, and their children surface as roots until then.
+func debugTrace(t *obs.TraceFile, ring *obs.TraceRing) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		ferr := t.Flush()
+		tr, err := traceview.ReadTrace(bytes.NewReader(ring.Snapshot()))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "# newest %d completed spans (up to %d are kept)\n", len(tr.Spans), TraceRingSpans)
+		if ferr != nil {
+			fmt.Fprintf(w, "# trace export stopped: %v\n", ferr)
+		}
+		_ = traceview.WriteReport(w, tr)
+	}
+}
+
+// Trace begins the run's root span (named after the tool), stamps the
+// run ID on it, and wires it into any monitors already attached —
+// monitors attached later are wired by AttachMonitor. The returned
+// context carries the span; pass it to the pipeline stages. Close ends
+// the span if the caller has not.
+func (rt *Runtime) Trace(ctx context.Context) (context.Context, *obs.Span) {
 	sctx, root := obs.StartSpan(ctx, rt.Tool)
 	// Stamping the run ID gives every descendant span a wire identity:
 	// outbound requests (the remote artifact tier) inject
@@ -177,12 +220,6 @@ func (rt *Runtime) Trace(ctx context.Context, b *obs.ManifestBuilder) (context.C
 	// file under tracetool merge.
 	root.SetRunID(rt.RunID)
 	rt.root = root
-	if b != nil {
-		b.SetRootSpan(root)
-	}
-	if rt.Metrics != nil {
-		rt.Metrics.SetTraceSource(func() *obs.Span { return root })
-	}
 	for _, m := range rt.monitors {
 		m.SetSpan(root)
 	}
@@ -396,11 +433,8 @@ func (rt *Runtime) NewManifest() *obs.ManifestBuilder {
 	if rt.common.AlertLog != "" {
 		b.SetAlertLog(rt.common.AlertLog)
 	}
-	if rt.trace != nil {
-		b.SetTraceFile(rt.trace.Path())
-	}
-	if rt.root != nil {
-		b.SetRootSpan(rt.root)
+	if rt.traceOut != nil {
+		b.SetTraceFile(rt.common.Trace)
 	}
 	rt.manifest = b
 	return b
@@ -426,11 +460,12 @@ func (rt *Runtime) WriteManifest(b *obs.ManifestBuilder) error {
 // only compute expensive summary metrics when it was).
 func (rt *Runtime) ManifestRequested() bool { return rt.common.Manifest != "" }
 
-// Close flushes and releases the run's resources: the root span and
-// trace file, the run manifest (when requested and not yet written —
-// the interrupted-run path, marked with a note), the alert journal,
-// and the metrics server (graceful drain). The root span's End is
-// idempotent, so mains that already ended it lose nothing.
+// Close flushes and releases the run's resources: the root span, the
+// run manifest (when requested and not yet written — the
+// interrupted-run path, marked with a note), the trace file, the
+// alert journal, and the metrics server (graceful drain). The root
+// span's End is idempotent, so mains that already ended it lose
+// nothing.
 func (rt *Runtime) Close() {
 	if rt.signalStop != nil {
 		rt.signalStop()
@@ -440,8 +475,7 @@ func (rt *Runtime) Close() {
 		rt.root.End()
 		rt.root = nil
 	}
-	// Manifest flush after the root span ends (so the recorded span
-	// tree is complete) and before the trace file closes (the manifest
+	// Manifest flush before the trace file closes (the manifest
 	// references its path).
 	if rt.manifest != nil && !rt.manifestDone && rt.common.Manifest != "" {
 		rt.manifest.AddNote("manifest flushed by Runtime.Close: the run did not reach its normal WriteManifest (interrupted or failed)")
@@ -455,9 +489,15 @@ func (rt *Runtime) Close() {
 	rt.manifest = nil
 	if rt.trace != nil {
 		if err := rt.trace.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: closing trace file: %v\n", rt.Tool, err)
+			fmt.Fprintf(os.Stderr, "%s: flushing trace: %v\n", rt.Tool, err)
 		}
 		rt.trace = nil
+	}
+	if rt.traceOut != nil {
+		if err := rt.traceOut.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: closing trace file: %v\n", rt.Tool, err)
+		}
+		rt.traceOut = nil
 	}
 	if rt.journal != nil {
 		if err := rt.journal.Close(); err != nil {

@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -126,9 +129,9 @@ func TestRuntimeSharedSurface(t *testing.T) {
 }
 
 // TestTraceLifecycle: -trace installs the process exporter at Start,
-// the manifest records the trace path and root span, spans ended during
-// the run land in the file, and Close ends the root, flushes, and
-// uninstalls the exporter.
+// the manifest records the trace path, spans ended during the run land
+// in the file, and Close ends the root, flushes, and uninstalls the
+// exporter.
 func TestTraceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "run.trace.jsonl")
@@ -143,7 +146,7 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 
 	b := rt.NewManifest()
-	ctx, root := rt.Trace(context.Background(), b)
+	ctx, root := rt.Trace(context.Background())
 	if obs.SpanFromContext(ctx) != root {
 		t.Error("Trace context does not carry the root span")
 	}
@@ -212,7 +215,7 @@ func TestSignalKillMidFlightFlushesArtifacts(t *testing.T) {
 	ctx, stop := rt.SignalContext(context.Background())
 	defer stop()
 	b := rt.NewManifest()
-	sctx, _ := rt.Trace(ctx, b)
+	sctx, _ := rt.Trace(ctx)
 
 	// An alarm journaled before the kill must survive the interrupt.
 	j, err := rt.Journal()
@@ -307,4 +310,63 @@ func TestWriteManifestNoopWithoutPath(t *testing.T) {
 	if j, err := rt.Journal(); j != nil || err != nil {
 		t.Errorf("Journal() without -alert-log = %v, %v", j, err)
 	}
+}
+
+// TestDebugTraceShowsNewestSpans: with -metrics-addr, /debug/trace
+// renders the newest TraceRingSpans completed spans through traceview.
+// Writing more than the ring holds drops the oldest spans, and the
+// still-open root appears once it ends.
+func TestDebugTraceShowsNewestSpans(t *testing.T) {
+	c := &Common{MetricsAddr: "127.0.0.1:0", LogLevel: "error"}
+	rt, err := c.Start("ringtest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	_, root := rt.Trace(context.Background())
+	const extra = 10
+	for i := 0; i < TraceRingSpans+extra; i++ {
+		root.StartChild(fmt.Sprintf("work/%05d", i)).End()
+	}
+	name := func(i int) string { return fmt.Sprintf("work/%05d ", i) }
+
+	body := getDebugTrace(t, rt)
+	for _, want := range []string{
+		fmt.Sprintf("# newest %d completed spans", TraceRingSpans),
+		"tool ringtest",
+		fmt.Sprintf("spans: %d\n", TraceRingSpans),
+		name(extra), name(TraceRingSpans + extra - 1),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/debug/trace missing %q", want)
+		}
+	}
+	for _, gone := range []string{name(0), name(extra - 1), "\nringtest "} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/debug/trace still shows %q", gone)
+		}
+	}
+
+	root.End()
+	body = getDebugTrace(t, rt)
+	if !strings.Contains(body, "\nringtest ") || strings.Contains(body, name(extra)) {
+		t.Errorf("after the root ended, /debug/trace should show it and drop %q:\n%.400s", name(extra), body)
+	}
+}
+
+func getDebugTrace(t *testing.T, rt *Runtime) string {
+	t.Helper()
+	resp, err := http.Get(rt.Metrics.URL() + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/trace status %d: %s", resp.StatusCode, body)
+	}
+	return string(body)
 }

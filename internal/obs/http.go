@@ -46,9 +46,6 @@ type MetricsServer struct {
 
 	readyMu sync.Mutex
 	checks  []readinessCheck
-
-	traceMu  sync.Mutex
-	traceSrc func() *Span
 }
 
 // Handle mounts an additional handler on the server's mux (e.g. a
@@ -81,36 +78,6 @@ func (m *MetricsServer) AddReadiness(name string, fn func() error) {
 	m.readyMu.Lock()
 	defer m.readyMu.Unlock()
 	m.checks = append(m.checks, readinessCheck{name: name, fn: fn})
-}
-
-// SetTraceSource attaches the live root span consulted by
-// /debug/trace; fn is called per request and may return nil (no
-// active trace). Safe to call while serving.
-func (m *MetricsServer) SetTraceSource(fn func() *Span) {
-	m.traceMu.Lock()
-	m.traceSrc = fn
-	m.traceMu.Unlock()
-}
-
-// debugTrace serves the live root-span report as text: the flame-style
-// view of the run so far, for a daemon whose run never "finishes".
-func (m *MetricsServer) debugTrace(w http.ResponseWriter, _ *http.Request) {
-	m.traceMu.Lock()
-	fn := m.traceSrc
-	m.traceMu.Unlock()
-	var sp *Span
-	if fn != nil {
-		sp = fn()
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if sp == nil {
-		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprintln(w, "no active trace (no root span registered)")
-		return
-	}
-	fmt.Fprintf(w, "# live span report, root %s (%s), elapsed %s\n",
-		sp.Name, sp.ID(), sp.Duration().Round(time.Millisecond))
-	sp.WriteReport(w)
 }
 
 // healthz is the liveness probe: if the process can run this handler,
@@ -211,7 +178,6 @@ func ServeMetrics(addr string, r *Registry) (*MetricsServer, error) {
 	})
 	mux.HandleFunc("/healthz", ms.healthz)
 	mux.HandleFunc("/readyz", ms.readyz)
-	mux.HandleFunc("/debug/trace", ms.debugTrace)
 	go func() { _ = ms.srv.Serve(ln) }()
 	return ms, nil
 }

@@ -91,24 +91,6 @@ func TestProbeEndpoints(t *testing.T) {
 	}
 }
 
-// getText fetches a text endpoint, asserting the status code.
-func getText(t *testing.T, url string, wantStatus int) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("GET %s status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, body)
-	}
-	return string(body)
-}
-
 // TestReadyzDrain covers the shutdown side of readiness: BeginDrain
 // flips /readyz to 503 (naming the draining state) while other
 // endpoints — including an in-flight request on a mounted handler —
@@ -180,37 +162,4 @@ func TestReadyzDrain(t *testing.T) {
 	if res.status != http.StatusOK || !strings.Contains(res.body, `"done":true`) {
 		t.Errorf("in-flight request: status %d body %q", res.status, res.body)
 	}
-}
-
-// TestDebugTraceEndpoint covers /debug/trace: 404 before a trace
-// source is registered, then the live root-span report.
-func TestDebugTraceEndpoint(t *testing.T) {
-	r := NewRegistry()
-	ms, err := ServeMetrics("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-
-	body := getText(t, ms.URL()+"/debug/trace", http.StatusNotFound)
-	if !strings.Contains(body, "no active trace") {
-		t.Errorf("404 body: %q", body)
-	}
-
-	root := newSpan("daemon")
-	c := root.StartChild("request")
-	c.SetAttr(Bool("cache_hit", true))
-	c.End()
-	ms.SetTraceSource(func() *Span { return root })
-
-	body = getText(t, ms.URL()+"/debug/trace", http.StatusOK)
-	for _, want := range []string{"# live span report", "daemon", root.ID(), "request", "cache_hit=true"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/debug/trace missing %q in:\n%s", want, body)
-		}
-	}
-
-	// A nil source flips back to 404 (trace detached at run end).
-	ms.SetTraceSource(func() *Span { return nil })
-	getText(t, ms.URL()+"/debug/trace", http.StatusNotFound)
 }

@@ -67,7 +67,7 @@ type RunManifest struct {
 	// written during the run, if one was requested.
 	AlertLog string `json:"alert_log,omitempty"`
 	// TraceFile is the path of the JSONL span trace written during the
-	// run (-trace), if one was requested.
+	// run (-trace), if one was requested: the run's full span record.
 	TraceFile string `json:"trace_file,omitempty"`
 
 	Seed       int64             `json:"seed,omitempty"`
@@ -78,7 +78,6 @@ type RunManifest struct {
 	// Artifacts records each pipeline stage's cache key, artifact
 	// digest and hit/miss outcome (see internal/pipeline).
 	Artifacts map[string]ArtifactStat `json:"artifacts,omitempty"`
-	Spans     *SpanRecord             `json:"spans,omitempty"`
 	Metrics   map[string]float64      `json:"metrics,omitempty"` // headline results: RMSE per order, cluster count, selection scores
 	Notes     []string                `json:"notes,omitempty"`
 }
@@ -92,7 +91,6 @@ type ManifestBuilder struct {
 	stageName string
 	stageWall time.Time
 	stageCPU  time.Duration
-	root      *Span
 }
 
 // NewManifest starts a manifest for the named tool, capturing start
@@ -162,10 +160,6 @@ func (b *ManifestBuilder) SetMetric(name string, v float64) { b.m.Metrics[name] 
 // AddNote appends a free-form provenance note.
 func (b *ManifestBuilder) AddNote(note string) { b.m.Notes = append(b.m.Notes, note) }
 
-// SetRootSpan attaches the run's root span tree; its Record() is
-// embedded in the manifest at Finish time.
-func (b *ManifestBuilder) SetRootSpan(sp *Span) { b.root = sp }
-
 // StartStage begins a named pipeline stage, closing any stage still
 // open. Stage wall and CPU time land in Stages[name].
 func (b *ManifestBuilder) StartStage(name string) {
@@ -226,10 +220,6 @@ func (b *ManifestBuilder) Finish() RunManifest {
 	b.m.WallMS = float64(b.m.FinishedAt.Sub(b.m.StartedAt)) / float64(time.Millisecond)
 	if cpu := processCPU() - b.startCPU; cpu > 0 {
 		b.m.CPUMS = float64(cpu) / float64(time.Millisecond)
-	}
-	if b.root != nil {
-		rec := b.root.Record()
-		b.m.Spans = &rec
 	}
 	return b.m
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -14,14 +13,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	b.SetMetric("rms90_degc", 0.66)
 	b.AddNote("round-trip test")
 
-	_, root := StartSpan(context.Background(), "run")
-	b.SetRootSpan(root)
-
 	b.StartStage("fit")
 	time.Sleep(2 * time.Millisecond)
 	b.EndStage()
 	b.StageCount("fit", "windows", 12)
-	root.End()
 
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := b.WriteFile(path); err != nil {
@@ -56,9 +51,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if st.Counts["windows"] != 12 {
 		t.Errorf("stage counts = %v", st.Counts)
-	}
-	if m.Spans == nil || m.Spans.Name != "run" {
-		t.Errorf("spans = %+v", m.Spans)
 	}
 	if m.WallMS <= 0 || m.FinishedAt.Before(m.StartedAt) {
 		t.Errorf("timing: wall=%v started=%v finished=%v", m.WallMS, m.StartedAt, m.FinishedAt)

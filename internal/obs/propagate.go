@@ -61,13 +61,14 @@ func (r TraceRef) String() string {
 // allocation per rejection.
 var (
 	errTraceRefSyntax = errors.New(`obs: malformed trace ref (want "<run-id>/<span-id>")`)
-	errTraceRefRunID  = errors.New("obs: malformed trace ref: empty or oversized run id")
+	errTraceRefRunID  = errors.New("obs: malformed trace ref: run id empty, oversized or not printable ASCII")
 	errTraceRefSpan   = errors.New("obs: malformed trace ref: span id not a positive integer")
 )
 
 // ParseTraceRef parses the wire form "<run-id>/<span-id>". The run-id
-// part must be 1..64 bytes with no '/'; the span part must be a
-// positive decimal uint64. Allocation-free (the returned RunID
+// part must be 1..64 printable ASCII bytes (0x21-0x7E) with no '/':
+// it arrives from another process and is copied into trace lines and
+// manifests. The span part must be a positive decimal uint64. Allocation-free (the returned RunID
 // aliases the input).
 func ParseTraceRef(s string) (TraceRef, error) {
 	i := strings.IndexByte(s, '/')
@@ -78,6 +79,11 @@ func ParseTraceRef(s string) (TraceRef, error) {
 	if run == "" || len(run) > maxTraceRunIDLen {
 		return TraceRef{}, errTraceRefRunID
 	}
+	for j := 0; j < len(run); j++ {
+		if run[j] < 0x21 || run[j] > 0x7e {
+			return TraceRef{}, errTraceRefRunID
+		}
+	}
 	id, err := strconv.ParseUint(s[i+1:], 10, 64)
 	if err != nil || id == 0 {
 		return TraceRef{}, errTraceRefSpan
@@ -86,15 +92,13 @@ func ParseTraceRef(s string) (TraceRef, error) {
 }
 
 // ClientSpan begins a span for an outbound request (the client half
-// of a cross-process call), adopted under ctx's span when one is
+// of a cross-process call), parented under ctx's span when one is
 // carried. Unlike StartSpan it returns no derived context — an
 // outbound call nests no further local work; inject the returned
 // span's reference into the request instead (InjectTrace).
 func ClientSpan(ctx context.Context, name string) *Span {
 	c := newSpan(name)
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		parent.adopt(c)
-	}
+	c.parent = SpanFromContext(ctx)
 	return c
 }
 

@@ -43,6 +43,10 @@ func TestParseTraceRef(t *testing.T) {
 		"a/b/c",        // extra slash
 		"deadbeef/ 42", // space
 		strings.Repeat("r", maxTraceRunIDLen+1) + "/1", // oversized run id
+		"\xff\xfe\"q/5", // run id not printable ASCII (invalid UTF-8 in a trace line)
+		"run id/5",      // space in run id
+		"run\x7f/5",     // DEL in run id
+		"runé/5",        // non-ASCII run id
 	}
 	for _, in := range bad {
 		if ref, err := ParseTraceRef(in); err == nil {

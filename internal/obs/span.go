@@ -2,32 +2,23 @@ package obs
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Bounds on per-span payload. A long-running daemon reuses one root
-// span across millions of requests' worth of work; without bounds the
-// in-memory tree (and the manifest record derived from it) would grow
-// without limit. Overflow never errors — it increments the matching
-// drop counter, which is exported with the span so a truncated trace
-// is visible as truncated.
+// Bounds on per-span payload. A span holds its attributes and events
+// until End exports it; without bounds one long-lived span (a
+// daemon's root, a monitor loop's span) would grow without limit.
+// Overflow never errors — it increments the matching drop counter,
+// which is exported with the span so a truncated span is visible as
+// truncated.
 const (
 	// MaxSpanAttrs bounds the typed attributes one span can carry.
 	MaxSpanAttrs = 16
 	// MaxSpanEvents bounds the timestamped events one span can carry.
 	MaxSpanEvents = 64
-	// MaxSpanChildren bounds the children linked into a span's
-	// in-memory tree. Children past the bound still export to the
-	// trace file on End (they know their parent ID); they are only
-	// dropped from the live tree used by WriteReport and manifests.
-	MaxSpanChildren = 512
 )
 
 // AttrKind discriminates the value held by an Attr.
@@ -70,40 +61,6 @@ func Bool(key string, v bool) Attr {
 	return a
 }
 
-// Value returns the attribute's value as an interface (for manifest
-// records and report rendering; allocates, off the hot path).
-func (a Attr) Value() any {
-	switch a.Kind {
-	case AttrString:
-		return a.Str
-	case AttrInt:
-		return a.Num
-	case AttrFloat:
-		return a.F
-	case AttrBool:
-		return a.Num != 0
-	}
-	return nil
-}
-
-// valueString renders the attribute value for the text report.
-func (a Attr) valueString() string {
-	switch a.Kind {
-	case AttrString:
-		return a.Str
-	case AttrInt:
-		return strconv.FormatInt(a.Num, 10)
-	case AttrFloat:
-		return strconv.FormatFloat(a.F, 'g', -1, 64)
-	case AttrBool:
-		if a.Num != 0 {
-			return "true"
-		}
-		return "false"
-	}
-	return ""
-}
-
 // spanEvent is one timestamped point event inside a span.
 type spanEvent struct {
 	at   time.Time
@@ -111,48 +68,39 @@ type spanEvent struct {
 	attr Attr // optional; Key == "" means none
 }
 
-// SpanEventRecord is the serializable form of a span event.
-type SpanEventRecord struct {
-	Time time.Time      `json:"t"`
-	Name string         `json:"name"`
-	Attr map[string]any `json:"attr,omitempty"`
-}
-
-// Span is one timed region of work. Spans form a tree via
-// StartSpan(ctx, ...): a span started under a context carrying a
-// parent span becomes that parent's child. Spans carry their own
-// counters (SetCount), typed attributes (SetAttr), timestamped events
-// (Event/EventAttr) and an error status (SetError), so stage-level
-// context travels with the timing tree into reports, manifests and
-// the exported trace.
+// Span is one timed region of work. A span started with
+// StartSpan(ctx, ...) under a context carrying a span records that
+// span as its parent. Spans carry their own counters (SetCount), typed
+// attributes (SetAttr), timestamped events (Event/EventAttr) and an
+// error status (SetError), so stage-level context travels with the
+// timing into the exported trace.
 //
-// When a trace exporter is installed (SetTraceExporter), every span
-// streams to the per-run JSONL trace file at its first End — the
-// in-memory tree stays bounded while the file keeps the full record.
+// A span's only output is its JSONL line: at its first End it streams
+// to its trace sink (SetSink, else the process-wide exporter). A span
+// keeps no list of its children — each child names its parent, and
+// readers (internal/traceview) rebuild the tree from those IDs.
 type Span struct {
 	Name string
 
 	id uint64
 
-	mu       sync.Mutex
-	start    time.Time
-	end      time.Time
-	counts   map[string]int64
-	children []*Span
-	parent   *Span
+	mu     sync.Mutex
+	start  time.Time
+	end    time.Time
+	counts map[string]int64
+	parent *Span
 
-	attrs        []Attr // lazily allocated, bounded by MaxSpanAttrs
-	events       []spanEvent
-	errMsg       string
-	failed       bool
-	linkRun      string // cross-process parent run (SetLink)
-	linkSpan     uint64 // cross-process parent span id (SetLink)
-	dropAttrs    int64
-	dropEvents   int64
-	dropChildren int64
+	attrs      []Attr // lazily allocated, bounded by MaxSpanAttrs
+	events     []spanEvent
+	errMsg     string
+	failed     bool
+	linkRun    string // cross-process parent run (SetLink)
+	linkSpan   uint64 // cross-process parent span id (SetLink)
+	dropAttrs  int64
+	dropEvents int64
 
 	// Trace-propagation state, atomic so WireRef/End can walk the
-	// (immutable-after-adopt) parent chain without taking ancestor
+	// (immutable-after-start) parent chain without taking ancestor
 	// locks. runID is stamped on roots (SetRunID) and inherited;
 	// wireRef memoizes the encoded "<run>/<id>" for 0-alloc
 	// injection; sink routes this subtree's exported spans to a
@@ -181,13 +129,11 @@ func newSpan(name string) *Span {
 }
 
 // StartSpan begins a span named name. If ctx already carries a span,
-// the new span is registered as its child. The returned context
+// that span becomes the new span's parent. The returned context
 // carries the new span; pass it to nested stages.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	sp := newSpan(name)
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		parent.adopt(sp)
-	}
+	sp.parent = SpanFromContext(ctx)
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
@@ -196,20 +142,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // the submitting span from goroutines that own no derived context.
 func (s *Span) StartChild(name string) *Span {
 	c := newSpan(name)
-	s.adopt(c)
-	return c
-}
-
-// adopt links c under s, honoring the child bound.
-func (s *Span) adopt(c *Span) {
 	c.parent = s
-	s.mu.Lock()
-	if len(s.children) >= MaxSpanChildren {
-		s.dropChildren++
-	} else {
-		s.children = append(s.children, c)
-	}
-	s.mu.Unlock()
+	return c
 }
 
 // SpanFromContext returns the span carried by ctx, or nil.
@@ -219,7 +153,7 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // ContextWithSpan returns a copy of ctx carrying sp, so a subsequent
-// StartSpan registers its span as sp's child. The serving daemon uses
+// StartSpan records sp as its span's parent. The serving daemon uses
 // it to root request spans under the long-lived daemon span while
 // keeping each request's own cancellation (the incoming
 // http.Request context).
@@ -261,24 +195,6 @@ func (s *Span) findSink() *TraceFile {
 	return nil
 }
 
-// Duration returns the span's wall time; for an unfinished span, the
-// time elapsed so far.
-func (s *Span) Duration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.end.IsZero() {
-		return time.Since(s.start)
-	}
-	return s.end.Sub(s.start)
-}
-
-// Start returns the span's start time.
-func (s *Span) Start() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.start
-}
-
 // SetAttr attaches a typed attribute. An existing attribute with the
 // same key is overwritten in place; beyond MaxSpanAttrs distinct keys
 // new attributes are dropped and counted. Zero allocations once the
@@ -307,13 +223,6 @@ func (s *Span) SetAttr(a Attr) {
 	s.mu.Unlock()
 }
 
-// Attrs returns a copy of the span's attributes in insertion order.
-func (s *Span) Attrs() []Attr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attr(nil), s.attrs...)
-}
-
 // Event records a timestamped point event on the span.
 func (s *Span) Event(name string) { s.EventAttr(name, Attr{}) }
 
@@ -335,21 +244,6 @@ func (s *Span) EventAttr(name string, a Attr) {
 	s.mu.Unlock()
 }
 
-// Events returns the span's events in record order.
-func (s *Span) Events() []SpanEventRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SpanEventRecord, 0, len(s.events))
-	for _, e := range s.events {
-		rec := SpanEventRecord{Time: e.at, Name: e.name}
-		if e.attr.Key != "" {
-			rec.Attr = map[string]any{e.attr.Key: e.attr.Value()}
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
 // SetError marks the span failed and records the error message. A nil
 // error is ignored.
 func (s *Span) SetError(err error) {
@@ -362,19 +256,12 @@ func (s *Span) SetError(err error) {
 	s.mu.Unlock()
 }
 
-// Failed reports the span's error status and message.
-func (s *Span) Failed() (bool, string) {
+// Dropped returns the span's overflow tallies: attributes and events
+// discarded at the package bounds.
+func (s *Span) Dropped() (attrs, events int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.failed, s.errMsg
-}
-
-// Dropped returns the span's overflow tallies: attributes, events and
-// children discarded at the package bounds.
-func (s *Span) Dropped() (attrs, events, children int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropAttrs, s.dropEvents, s.dropChildren
+	return s.dropAttrs, s.dropEvents
 }
 
 // SetCount attaches (or overwrites) a named counter on the span.
@@ -395,128 +282,4 @@ func (s *Span) AddCount(key string, delta int64) {
 		s.counts = map[string]int64{}
 	}
 	s.counts[key] += delta
-}
-
-// Counts returns a copy of the span's counters.
-func (s *Span) Counts() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Children returns a copy of the span's direct children.
-func (s *Span) Children() []*Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
-}
-
-// SpanRecord is the serializable form of a span tree, used by
-// RunManifest.
-type SpanRecord struct {
-	Name            string           `json:"name"`
-	DurationMS      float64          `json:"duration_ms"`
-	Counts          map[string]int64 `json:"counts,omitempty"`
-	Attrs           map[string]any   `json:"attrs,omitempty"`
-	Error           string           `json:"error,omitempty"`
-	DroppedChildren int64            `json:"dropped_children,omitempty"`
-	Children        []SpanRecord     `json:"children,omitempty"`
-}
-
-// Record converts the span tree to its serializable form.
-func (s *Span) Record() SpanRecord {
-	rec := SpanRecord{
-		Name:       s.Name,
-		DurationMS: float64(s.Duration()) / float64(time.Millisecond),
-	}
-	counts := s.Counts()
-	if len(counts) > 0 {
-		rec.Counts = counts
-	}
-	if attrs := s.Attrs(); len(attrs) > 0 {
-		rec.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			rec.Attrs[a.Key] = a.Value()
-		}
-	}
-	if failed, msg := s.Failed(); failed {
-		rec.Error = msg
-	}
-	_, _, rec.DroppedChildren = s.Dropped()
-	for _, c := range s.Children() {
-		rec.Children = append(rec.Children, c.Record())
-	}
-	return rec
-}
-
-// WriteReport renders the span tree as a flame-style indented text
-// report: per-span wall time, percent of root, a proportional bar,
-// attached counters and attributes, and an error marker for failed
-// spans.
-func (s *Span) WriteReport(w io.Writer) {
-	root := s.Duration()
-	if root <= 0 {
-		root = time.Nanosecond
-	}
-	var walk func(sp *Span, depth int)
-	walk = func(sp *Span, depth int) {
-		d := sp.Duration()
-		pct := 100 * float64(d) / float64(root)
-		bar := strings.Repeat("#", int(pct/5+0.5))
-		if bar == "" && d > 0 {
-			bar = "."
-		}
-		suffix := fmtCounts(sp.Counts()) + fmtAttrs(sp.Attrs())
-		if failed, msg := sp.Failed(); failed {
-			suffix += "  !error: " + msg
-		}
-		fmt.Fprintf(w, "%-36s %10s %5.1f%% %-20s%s\n",
-			strings.Repeat("  ", depth)+sp.Name, fmtDur(d), pct, bar, suffix)
-		for _, c := range sp.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(s, 0)
-}
-
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
-	default:
-		return fmt.Sprintf("%dµs", d.Microseconds())
-	}
-}
-
-func fmtCounts(m map[string]int64) string {
-	if len(m) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, m[k]))
-	}
-	return "  [" + strings.Join(parts, " ") + "]"
-}
-
-func fmtAttrs(attrs []Attr) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(attrs))
-	for _, a := range attrs {
-		parts = append(parts, a.Key+"="+a.valueString())
-	}
-	return "  {" + strings.Join(parts, " ") + "}"
 }

@@ -1,14 +1,20 @@
 package obs
 
 import (
+	"bytes"
 	"context"
-	"strings"
 	"testing"
 	"time"
 )
 
+// TestSpanTreeAndRecord: a span's record is its exported line, and
+// the tree lives in the lines' parent IDs — each child names its
+// parent, and counters ride on the child's own line.
 func TestSpanTreeAndRecord(t *testing.T) {
+	var buf bytes.Buffer
+	tf := NewTraceWriter(&buf, "r", "t")
 	ctx, root := StartSpan(context.Background(), "run")
+	root.SetSink(tf)
 	cctx, child := StartSpan(ctx, "fit")
 	child.SetCount("windows", 3)
 	child.AddCount("windows", 2)
@@ -16,32 +22,42 @@ func TestSpanTreeAndRecord(t *testing.T) {
 	grand.End()
 	child.End()
 	root.End()
+	if err := tf.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	if SpanFromContext(cctx) != child {
 		t.Error("SpanFromContext did not return the carried span")
 	}
-	if got := root.Children(); len(got) != 1 || got[0] != child {
-		t.Fatalf("root children = %v", got)
+	lines := decodeTraceLines(t, buf.Bytes())
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want meta + 3 spans", len(lines))
 	}
-	if got := child.Children(); len(got) != 1 || got[0] != grand {
-		t.Fatalf("child children = %v", got)
+	byName := map[string]map[string]any{}
+	for _, l := range lines[1:] {
+		byName[l["name"].(string)] = l
 	}
-	if got := child.Counts()["windows"]; got != 5 {
-		t.Errorf("counts = %d, want 5", got)
+	for name, parent := range map[string]*Span{"run": nil, "fit": root, "solve": child} {
+		l := byName[name]
+		if l == nil {
+			t.Fatalf("no line for span %q", name)
+		}
+		want := 0.0
+		if parent != nil {
+			want = float64(parent.IDNum())
+		}
+		if l["parent"].(float64) != want {
+			t.Errorf("%s parent = %v, want %v", name, l["parent"], want)
+		}
+		if l["end_ns"].(float64) < l["start_ns"].(float64) {
+			t.Errorf("%s ends before it starts: %v", name, l)
+		}
 	}
-
-	rec := root.Record()
-	if rec.Name != "run" || len(rec.Children) != 1 || rec.Children[0].Name != "fit" {
-		t.Errorf("record = %+v", rec)
+	if got := byName["fit"]["counts"].(map[string]any)["windows"]; got != 5.0 {
+		t.Errorf("fit counts windows = %v, want 5", got)
 	}
-	if rec.Children[0].Counts["windows"] != 5 {
-		t.Errorf("record counts = %v", rec.Children[0].Counts)
-	}
-	if len(rec.Children[0].Children) != 1 || rec.Children[0].Children[0].Name != "solve" {
-		t.Errorf("grandchild record = %+v", rec.Children[0])
-	}
-	if rec.DurationMS < 0 {
-		t.Errorf("negative duration %v", rec.DurationMS)
+	if _, ok := byName["run"]["counts"]; ok {
+		t.Errorf("counts leaked onto the parent's line: %v", byName["run"])
 	}
 }
 
@@ -49,13 +65,13 @@ func TestSpanEndIdempotent(t *testing.T) {
 	_, sp := StartSpan(context.Background(), "s")
 	time.Sleep(time.Millisecond)
 	sp.End()
-	d := sp.Duration()
+	end := sp.end
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	if sp.Duration() != d {
-		t.Error("second End changed the duration")
+	if sp.end != end {
+		t.Error("second End changed the end time")
 	}
-	if d < time.Millisecond {
+	if d := end.Sub(sp.start); d < time.Millisecond {
 		t.Errorf("duration %v below sleep time", d)
 	}
 }
@@ -64,28 +80,5 @@ func TestSpanWithoutParentIsRoot(t *testing.T) {
 	_, sp := StartSpan(context.Background(), "lone")
 	if sp.parent != nil {
 		t.Error("span from bare context has a parent")
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	ctx, root := StartSpan(context.Background(), "run")
-	_, child := StartSpan(ctx, "stage")
-	child.SetCount("items", 7)
-	child.End()
-	root.End()
-
-	var b strings.Builder
-	root.WriteReport(&b)
-	out := b.String()
-	if !strings.Contains(out, "run") || !strings.Contains(out, "stage") {
-		t.Errorf("report missing span names:\n%s", out)
-	}
-	if !strings.Contains(out, "items=7") {
-		t.Errorf("report missing counters:\n%s", out)
-	}
-	// Child line is indented under the root.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 || !strings.HasPrefix(lines[1], "  ") {
-		t.Errorf("report lines not indented:\n%s", out)
 	}
 }

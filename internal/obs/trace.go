@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -12,15 +11,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
-// Trace export: completed spans stream to a per-run JSONL file so a
-// run's full timing story survives the process (the in-memory span
-// tree is bounded; the file is the unbounded record). One line per
-// completed span, preceded by one meta line carrying the run's
-// provenance, so any line of the file can be joined back to the run
-// manifest, the structured log and the alert journal on run_id, and
-// to metric exemplars on the numeric span id.
+// Trace export: a completed span's only output is one JSONL line. The
+// lines stream to a per-run trace (the -trace file, the /debug/trace
+// ring, or both) so a run's full timing story survives the process.
+// One line per completed span, preceded by one meta line carrying the
+// run's provenance, so any line of the file can be joined back to the
+// run manifest, the structured log and the alert journal on run_id,
+// and to metric exemplars on the numeric span id.
 //
 // The encoder is hand-rolled into a reusable buffer: exporting a span
 // allocates nothing in steady state (gated in BENCH_trace.json), so
@@ -40,16 +40,14 @@ type TraceMeta struct {
 	StartNS    int64  `json:"start_unix_ns"`
 }
 
-// TraceFile is a streaming JSONL trace sink. Install it process-wide
-// with SetTraceExporter; every Span.End then appends one line. Safe
-// for concurrent use.
+// TraceFile is a streaming JSONL trace sink over a caller-owned
+// writer. Install it process-wide with SetTraceExporter; every
+// Span.End then appends one line. Safe for concurrent use.
 type TraceFile struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
-	c     io.Closer // nil when backed by a caller-owned writer
-	buf   []byte    // encode scratch, reused across spans
-	keys  []string  // count-key sort scratch, reused across spans
-	path  string
+	buf   []byte   // encode scratch, reused across spans
+	keys  []string // count-key sort scratch, reused across spans
 	runID string
 	spans int64
 	err   error // first write error; later spans are dropped
@@ -60,7 +58,8 @@ var traceExporter atomic.Pointer[TraceFile]
 
 // SetTraceExporter installs t as the process-wide trace sink (nil
 // uninstalls) and returns the previous exporter. CLI runtimes install
-// the -trace file at startup; tests swap in their own sinks.
+// their trace (the -trace file, the /debug/trace ring, or both) at
+// startup; tests swap in their own sinks.
 func SetTraceExporter(t *TraceFile) *TraceFile {
 	if t == nil {
 		return traceExporter.Swap(nil)
@@ -71,30 +70,9 @@ func SetTraceExporter(t *TraceFile) *TraceFile {
 // TraceExporter returns the installed exporter, or nil.
 func TraceExporter() *TraceFile { return traceExporter.Load() }
 
-// CreateTrace creates (truncating) a JSONL trace file at path and
-// writes its meta line. Callers should defer Close.
-func CreateTrace(path, runID, tool string) (*TraceFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: creating trace file: %w", err)
-	}
-	t := newTraceWriter(f, runID, tool)
-	t.c = f
-	t.path = path
-	if t.err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obs: writing trace meta: %w", t.err)
-	}
-	return t, nil
-}
-
-// NewTraceWriter wraps a caller-owned writer as a trace sink (tests
-// and benchmarks). Close flushes but does not close w.
+// NewTraceWriter wraps w as a trace sink and buffers its meta line.
+// Close flushes but does not close w; the caller owns it.
 func NewTraceWriter(w io.Writer, runID, tool string) *TraceFile {
-	return newTraceWriter(w, runID, tool)
-}
-
-func newTraceWriter(w io.Writer, runID, tool string) *TraceFile {
 	host, _ := os.Hostname()
 	t := &TraceFile{
 		w:     bufio.NewWriterSize(w, 64<<10),
@@ -118,9 +96,6 @@ func newTraceWriter(w io.Writer, runID, tool string) *TraceFile {
 	t.err = err
 	return t
 }
-
-// Path returns the trace file path ("" for caller-owned writers).
-func (t *TraceFile) Path() string { return t.path }
 
 // RunID returns the run ID written to the trace's meta line.
 func (t *TraceFile) RunID() string { return t.runID }
@@ -149,24 +124,12 @@ func (t *TraceFile) Flush() error {
 	return t.w.Flush()
 }
 
-// Close flushes and closes the trace file. If this exporter is still
-// installed process-wide it uninstalls itself first, so no span can
-// race a write against the close.
+// Close flushes the trace. If this exporter is still installed
+// process-wide it uninstalls itself first, so no span can race a
+// write against the caller closing the underlying writer.
 func (t *TraceFile) Close() error {
 	traceExporter.CompareAndSwap(t, nil)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ferr := t.w.Flush()
-	if t.c != nil {
-		if cerr := t.c.Close(); ferr == nil {
-			ferr = cerr
-		}
-		t.c = nil
-	}
-	if t.err != nil {
-		return t.err
-	}
-	return ferr
+	return t.Flush()
 }
 
 // writeSpanLocked encodes one completed span as a JSONL line. The
@@ -259,10 +222,6 @@ func (t *TraceFile) writeSpanLocked(s *Span) {
 		b = append(b, `,"dropped_events":`...)
 		b = strconv.AppendInt(b, s.dropEvents, 10)
 	}
-	if s.dropChildren > 0 {
-		b = append(b, `,"dropped_children":`...)
-		b = strconv.AppendInt(b, s.dropChildren, 10)
-	}
 	b = append(b, '}', '\n')
 	t.buf = b // keep the grown buffer for reuse
 	if _, err := t.w.Write(b); err != nil {
@@ -303,9 +262,12 @@ func appendJSONFloat(b []byte, v float64) []byte {
 }
 
 // appendJSONString appends s as a JSON string literal. ASCII fast
-// path; control characters and JSON specials are escaped, and
-// non-ASCII bytes pass through verbatim (valid UTF-8 in, valid JSON
-// out). Allocation-free.
+// path; control characters and JSON specials are escaped, valid UTF-8
+// sequences pass through verbatim, and each byte of an invalid
+// sequence becomes \ufffd, as encoding/json writes it — names and
+// attributes can carry bytes from other processes (trace headers, a
+// remote tier's run ID), and the line must stay valid UTF-8 JSON.
+// Allocation-free.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {
@@ -323,8 +285,16 @@ func appendJSONString(b []byte, s string) []byte {
 			b = append(b, '\\', 'r')
 		case c < 0x20:
 			b = append(b, '\\', 'u', '0', '0', hexDigit(c>>4), hexDigit(c&0xf))
-		default:
+		case c < utf8.RuneSelf:
 			b = append(b, c)
+		default:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				b = append(b, `\ufffd`...)
+				continue
+			}
+			b = append(b, s[i:i+size]...)
+			i += size - 1
 		}
 	}
 	return append(b, '"')

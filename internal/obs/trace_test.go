@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // decodeTraceLines decodes every JSONL line into a generic map.
@@ -136,25 +136,26 @@ func TestTraceEscapesAndSecondEndDoesNotReexport(t *testing.T) {
 	}
 }
 
-func TestCreateTraceFile(t *testing.T) {
+// TestTraceFileOnDisk: a trace written through NewTraceWriter over a
+// file is complete on disk once Close flushes it, and Close
+// uninstalls the exporter so the caller can close the file safely.
+func TestTraceFileOnDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace.jsonl")
-	tf, err := CreateTrace(path, "run-xyz", "audsim")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tf.Path() != path {
-		t.Errorf("Path() = %q", tf.Path())
-	}
+	defer f.Close()
+	tf := NewTraceWriter(f, "run-xyz", "audsim")
 	prev := SetTraceExporter(tf)
 	newSpan("solo").End()
-	SetTraceExporter(prev)
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Close must uninstall the exporter if still installed.
 	if TraceExporter() == tf {
 		t.Error("Close left the exporter installed")
 	}
+	SetTraceExporter(prev)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -172,14 +173,14 @@ func TestSpanAttrBounds(t *testing.T) {
 	}
 	// Overwriting an existing key must not count against the bound.
 	sp.SetAttr(Int("k00", 999))
-	attrs := sp.Attrs()
+	attrs := sp.attrs
 	if len(attrs) != MaxSpanAttrs {
 		t.Errorf("len(attrs) = %d, want %d", len(attrs), MaxSpanAttrs)
 	}
 	if attrs[0].Num != 999 {
 		t.Errorf("overwrite in place failed: %v", attrs[0])
 	}
-	dropA, _, _ := sp.Dropped()
+	dropA, _ := sp.Dropped()
 	if dropA != 5 {
 		t.Errorf("dropped attrs = %d, want 5", dropA)
 	}
@@ -190,73 +191,46 @@ func TestSpanEventBounds(t *testing.T) {
 	for i := 0; i < MaxSpanEvents+3; i++ {
 		sp.Event("e")
 	}
-	if got := len(sp.Events()); got != MaxSpanEvents {
+	if got := len(sp.events); got != MaxSpanEvents {
 		t.Errorf("len(events) = %d, want %d", got, MaxSpanEvents)
 	}
-	_, dropE, _ := sp.Dropped()
+	_, dropE := sp.Dropped()
 	if dropE != 3 {
 		t.Errorf("dropped events = %d, want 3", dropE)
 	}
 }
 
-func TestSpanChildBoundsStillExport(t *testing.T) {
+// TestTraceInvalidUTF8: bytes from other processes (a trace header's
+// run id, a remote tier's X-Auditherm-Run) must not make a line
+// invalid UTF-8. Each byte of an invalid sequence encodes as \ufffd,
+// byte for byte what encoding/json writes; valid UTF-8 passes through.
+func TestTraceInvalidUTF8(t *testing.T) {
+	for _, s := range []string{"\xff\xfe\"q", "héllo wörld", "cut\xe2\x82", "ok\xc3\x28", "\xed\xa0\x80", "€\x80"} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
+	}
+
 	var buf bytes.Buffer
 	tf := NewTraceWriter(&buf, "r", "t")
-	prev := SetTraceExporter(tf)
-	defer SetTraceExporter(prev)
-
-	root := newSpan("root")
-	total := MaxSpanChildren + 4
-	for i := 0; i < total; i++ {
-		root.StartChild("c").End()
-	}
-	if got := len(root.Children()); got != MaxSpanChildren {
-		t.Errorf("in-memory children = %d, want %d", got, MaxSpanChildren)
-	}
-	_, _, dropC := root.Dropped()
-	if dropC != 4 {
-		t.Errorf("dropped children = %d, want 4", dropC)
-	}
-	root.End()
-	SetTraceExporter(prev)
+	sp := newSpan("remote \xff\xfe")
+	sp.SetSink(tf)
+	sp.SetAttr(String("server_run", "\xff\xfeabc"))
+	sp.SetLink(TraceRef{RunID: "\xff\xfe\"q", Span: 5})
+	sp.End()
 	if err := tf.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Every child exported despite the in-memory bound, and the root
-	// records the drop count.
-	lines := decodeTraceLines(t, buf.Bytes())
-	spans := 0
-	var rootLine map[string]any
-	for _, l := range lines {
-		if l["type"] == "span" {
-			spans++
-			if l["name"] == "root" {
-				rootLine = l
-			}
-		}
+	if !utf8.Valid(buf.Bytes()) {
+		t.Fatalf("trace is not valid UTF-8: %q", buf.Bytes())
 	}
-	if spans != total+1 {
-		t.Errorf("exported %d spans, want %d", spans, total+1)
-	}
-	if rootLine == nil || rootLine["dropped_children"].(float64) != 4 {
-		t.Errorf("root line dropped_children: %v", rootLine)
-	}
-}
-
-func TestWriteReportAttrsAndError(t *testing.T) {
-	root := newSpan("root")
-	c := root.StartChild("stage")
-	c.SetAttr(Bool("cache_hit", false))
-	c.SetError(errors.New("boom"))
-	c.End()
-	root.End()
-	var sb strings.Builder
-	root.WriteReport(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "cache_hit=false") {
-		t.Errorf("report missing attrs:\n%s", out)
-	}
-	if !strings.Contains(out, "!error: boom") {
-		t.Errorf("report missing error marker:\n%s", out)
+	line := decodeTraceLines(t, buf.Bytes())[1]
+	if line["name"] != "remote \ufffd\ufffd" || line["parent_run"] != "\ufffd\ufffd\"q" ||
+		line["attrs"].(map[string]any)["server_run"] != "\ufffd\ufffdabc" {
+		t.Errorf("decoded line = %v", line)
 	}
 }

@@ -1,20 +1,42 @@
 package par
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 
 	"auditherm/internal/obs"
+	"auditherm/internal/traceview"
 )
+
+// exported flushes tf and reads back what it wrote to buf, returning
+// the trace and root's decoded line.
+func exported(t *testing.T, tf *obs.TraceFile, buf *bytes.Buffer, root *obs.Span) (*traceview.Trace, *traceview.Span) {
+	t.Helper()
+	if err := tf.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traceview.ReadTrace(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tr.Find(root.IDNum())
+	if sp == nil {
+		t.Fatalf("root span %s not exported", root.ID())
+	}
+	return tr, sp
+}
 
 // TestWorkerSpans: a batch submitted under a span gets one
 // worker-attributed child span per worker goroutine, whose claimed
 // task counts account for the whole batch.
 func TestWorkerSpans(t *testing.T) {
+	var buf bytes.Buffer
+	tf := obs.NewTraceWriter(&buf, "par-run", "par-test")
 	ctx, root := obs.StartSpan(context.Background(), "batch")
+	root.SetSink(tf)
 	const n = 300
 	var ran atomic.Int64
 	if err := ForEach(ctx, 4, n, func(i int) error {
@@ -27,29 +49,24 @@ func TestWorkerSpans(t *testing.T) {
 	if ran.Load() != n {
 		t.Fatalf("ran %d tasks, want %d", ran.Load(), n)
 	}
+	_, batch := exported(t, tf, &buf, root)
 	workers := 0
 	var claimed int64
-	seen := map[int64]bool{}
-	for _, c := range root.Children() {
+	seen := map[float64]bool{}
+	for _, c := range batch.Children {
 		if c.Name != "par/worker" {
 			continue
 		}
 		workers++
-		var workerAttr *obs.Attr
-		for _, a := range c.Attrs() {
-			if a.Key == "worker" {
-				av := a
-				workerAttr = &av
-			}
+		w, ok := c.Attrs["worker"].(float64)
+		if !ok {
+			t.Fatalf("worker span missing worker attr: %v", c.Attrs)
 		}
-		if workerAttr == nil {
-			t.Fatalf("worker span missing worker attr: %v", c.Attrs())
+		if seen[w] {
+			t.Errorf("duplicate worker index %v", w)
 		}
-		if seen[workerAttr.Num] {
-			t.Errorf("duplicate worker index %d", workerAttr.Num)
-		}
-		seen[workerAttr.Num] = true
-		claimed += c.Counts()["tasks"]
+		seen[w] = true
+		claimed += c.Counts["tasks"]
 	}
 	if workers < 1 || workers > 4 {
 		t.Errorf("got %d worker spans, want 1..4", workers)
@@ -62,13 +79,16 @@ func TestWorkerSpans(t *testing.T) {
 // TestWorkerSpansSerialPathFree: the serial fast path (and the
 // span-free context) must not grow the span tree.
 func TestWorkerSpansSerialPathFree(t *testing.T) {
+	var buf bytes.Buffer
+	tf := obs.NewTraceWriter(&buf, "par-run", "par-test")
 	ctx, root := obs.StartSpan(context.Background(), "serial")
+	root.SetSink(tf)
 	if err := ForEach(ctx, 1, 10, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
-	if got := len(root.Children()); got != 0 {
-		t.Errorf("serial path created %d child spans, want 0", got)
+	if tr, _ := exported(t, tf, &buf, root); len(tr.Spans) != 1 {
+		t.Errorf("serial path created %d child spans, want 0", len(tr.Spans)-1)
 	}
 	// No span in the context: parallel path stays span-free too.
 	if err := ForEach(context.Background(), 4, 50, func(i int) error { return nil }); err != nil {
@@ -81,7 +101,8 @@ func TestWorkerSpansSerialPathFree(t *testing.T) {
 // with a live JSONL exporter — the -race gate for the whole span
 // surface (run via `make race`, which includes this package).
 func TestConcurrentSpanMutation(t *testing.T) {
-	tf := obs.NewTraceWriter(io.Discard, "race-run", "par-test")
+	var buf bytes.Buffer
+	tf := obs.NewTraceWriter(&buf, "race-run", "par-test")
 	prev := obs.SetTraceExporter(tf)
 	defer func() { obs.SetTraceExporter(prev); _ = tf.Close() }()
 
@@ -99,19 +120,16 @@ func TestConcurrentSpanMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	if err := tf.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := root.Counts()["tasks_done"]; got != n {
+	tr, batch := exported(t, tf, &buf, root)
+	if got := batch.Counts["tasks_done"]; got != n {
 		t.Errorf("tasks_done = %d, want %d", got, n)
 	}
 	// n task children + worker children; event and attr drops counted,
 	// never lost silently.
-	_, dropE, _ := root.Dropped()
-	if got := len(root.Events()); int64(got)+dropE != n {
-		t.Errorf("events %d + dropped %d != %d", got, dropE, n)
+	if got := int64(len(batch.Events)) + batch.DroppedEvents; got != n {
+		t.Errorf("events %d + dropped %d != %d", len(batch.Events), batch.DroppedEvents, n)
 	}
-	if tf.Spans() < n {
-		t.Errorf("exported %d spans, want >= %d", tf.Spans(), n)
+	if len(tr.Spans) < n {
+		t.Errorf("exported %d spans, want >= %d", len(tr.Spans), n)
 	}
 }

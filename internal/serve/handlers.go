@@ -425,8 +425,7 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 	if s.backend != nil {
 		store = s.backend.Name()
 	}
-	// Per-endpoint trace-propagation tallies plus the daemon root
-	// span's child overflow: together they say whether merged traces
+	// Per-endpoint trace-propagation tallies: whether merged traces
 	// can be trusted to be complete.
 	endpoints := make(map[string]any, len(s.epTrace))
 	for name, st := range s.epTrace {
@@ -435,10 +434,6 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 			"link_errors": st.linkErrors.Load(),
 			"span_drops":  st.spanDrops.Load(),
 		}
-	}
-	var rootDroppedChildren int64
-	if s.root != nil {
-		_, _, rootDroppedChildren = s.root.Dropped()
 	}
 	resp := map[string]any{
 		"uptime_s":               time.Since(s.started).Seconds(),
@@ -454,10 +449,9 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 		"response_cache_hits":    obs.Default.CounterValue("auditherm_serve_response_cache_hits_total"),
 		"response_cache_misses":  obs.Default.CounterValue("auditherm_serve_response_cache_misses_total"),
 		"trace": map[string]any{
-			"links_total":           obs.Default.CounterValue("auditherm_trace_links_total"),
-			"link_errors_total":     obs.Default.CounterValue("auditherm_trace_link_errors_total"),
-			"root_dropped_children": rootDroppedChildren,
-			"endpoints":             endpoints,
+			"links_total":       obs.Default.CounterValue("auditherm_trace_links_total"),
+			"link_errors_total": obs.Default.CounterValue("auditherm_trace_link_errors_total"),
+			"endpoints":         endpoints,
 		},
 	}
 	body, err := json.MarshalIndent(resp, "", "  ")

@@ -12,13 +12,13 @@
 // so a repeated request replays the cold run's bytes without touching
 // the engine at all.
 //
-// Each request gets its own run ID (returned as X-Auditherm-Run),
-// a request span parented under the daemon's root span (streaming to
-// the -trace file with the run ID attached), and — when a run
-// directory is configured — its own run manifest. Response bodies
-// exclude the run ID and all timing, so a warm response is
-// byte-identical to its cold counterpart (X-Auditherm-Cache says
-// which one this was).
+// Each request gets its own run ID (returned as X-Auditherm-Run), a
+// request span parented under the daemon's root span (streaming to the
+// -trace file and the /debug/trace ring with the run ID attached), and
+// — when a run directory is configured — its own run manifest.
+// Response bodies exclude the run ID and all timing, so a warm
+// response is byte-identical to its cold counterpart
+// (X-Auditherm-Cache says which one this was).
 //
 // Lifecycle: the daemon shares the obs.MetricsServer listener, so
 // /metrics, /healthz, /readyz, /debug/* and the /v1/* API ride one
@@ -327,8 +327,8 @@ func (s *Server) Wait(timeout time.Duration) error {
 
 // endpointTrace tallies one endpoint's trace-propagation outcomes for
 // /v1/status: caller links established, malformed headers rejected,
-// and span payload drops (attrs/events/children truncated at the obs
-// bounds) observed on completed request spans.
+// and span payload drops (attrs/events truncated at the obs bounds)
+// observed on completed request spans.
 type endpointTrace struct {
 	links      atomic.Int64
 	linkErrors atomic.Int64
@@ -368,8 +368,8 @@ func (s *Server) extractLink(name string, r *http.Request, sp *obs.Span) obs.Tra
 // into the endpoint's status counters.
 func (s *Server) recordSpanDrops(name string, sp *obs.Span) {
 	if st := s.epTrace[name]; st != nil {
-		a, e, c := sp.Dropped()
-		if n := a + e + c; n > 0 {
+		a, e := sp.Dropped()
+		if n := a + e; n > 0 {
 			st.spanDrops.Add(n)
 		}
 	}

@@ -139,10 +139,12 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	// assume the directory existed).
 	runDir := filepath.Join(t.TempDir(), "runs")
 	tracePath := filepath.Join(t.TempDir(), "serve.trace.jsonl")
-	tf, err := obs.CreateTrace(tracePath, "run-test", "serve")
+	f, err := os.Create(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	tf := obs.NewTraceWriter(f, "run-test", "serve")
 	obs.SetTraceExporter(tf)
 	defer obs.SetTraceExporter(nil)
 	_, root := obs.StartSpan(context.Background(), "serve")

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
+	"auditherm/internal/cliutil"
 	"auditherm/internal/obs"
 )
 
@@ -100,5 +107,76 @@ func TestTraceLinkPropagation(t *testing.T) {
 	sysid, ok := status.Trace.Endpoints["sysid"]
 	if !ok || sysid.Links != 1 || sysid.LinkErrors != 1 {
 		t.Errorf("status sysid endpoint = %+v (present %v), want links=1 link_errors=1", sysid, ok)
+	}
+}
+
+// TestDebugTraceFollowsNewestRequests runs the daemon as cmd/serve
+// does — a cliutil runtime with -metrics-addr and a root span every
+// request span is parented under — and serves more requests than
+// /debug/trace keeps. The view must follow the newest requests rather
+// than freeze on the first ones, and /v1/status must carry no
+// root-span overflow tally, only the link tallies.
+func TestDebugTraceFollowsNewestRequests(t *testing.T) {
+	c := &cliutil.Common{MetricsAddr: "127.0.0.1:0", LogLevel: "error", LogWriter: io.Discard}
+	rt, err := c.Start("serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	_, root := rt.Trace(context.Background())
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv, err := New(Config{Dataset: testDataset(), CacheDir: sharedCacheDir}, log, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Mount(rt.Metrics)
+	base := rt.Metrics.URL()
+
+	// One miss, then response-cache hits: one request span each.
+	var first, last string
+	for i := 0; i < cliutil.TraceRingSpans+50; i++ {
+		st, runID := doTraced(t, base+"/v1/control?days=1", "")
+		if st != http.StatusOK || runID == "" {
+			t.Fatalf("request %d: status %d, run %q", i, st, runID)
+		}
+		if i == 0 {
+			first = runID
+		}
+		last = runID
+	}
+
+	st, body, _ := get(t, base+"/debug/trace")
+	if st != http.StatusOK {
+		t.Fatalf("/debug/trace status %d: %s", st, body)
+	}
+	out := string(body)
+	if want := fmt.Sprintf("spans: %d\n", cliutil.TraceRingSpans); !strings.Contains(out, want) {
+		t.Errorf("/debug/trace does not hold exactly %d spans:\n%.400s", cliutil.TraceRingSpans, out)
+	}
+	if !strings.Contains(out, "run_id="+last) {
+		t.Errorf("/debug/trace misses the newest request %s", last)
+	}
+	if strings.Contains(out, "run_id="+first) {
+		t.Errorf("/debug/trace still shows the first request %s", first)
+	}
+
+	st, body, _ = get(t, base+"/v1/status")
+	if st != http.StatusOK {
+		t.Fatalf("/v1/status status %d: %s", st, body)
+	}
+	var status struct {
+		Trace map[string]json.RawMessage `json:"trace"`
+	}
+	if err := json.Unmarshal(body, &status); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(status.Trace))
+	for k := range status.Trace {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, " "); got != "endpoints link_errors_total links_total" {
+		t.Errorf("/v1/status trace section has keys %q, want only the link tallies", got)
 	}
 }

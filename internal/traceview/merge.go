@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"auditherm/internal/obs"
 )
 
 // Cross-process trace assembly. Each auditherm process writes its own
@@ -119,7 +121,7 @@ func Merge(traces []*Trace) (*Trace, MergeStats, error) {
 	for i, m := range merged.Procs {
 		runs[i] = m.RunID
 	}
-	merged.Meta = Meta{
+	merged.Meta = obs.TraceMeta{
 		Type:       "merged",
 		RunID:      strings.Join(runs, "+"),
 		Tool:       fmt.Sprintf("merge(%d procs)", len(merged.Procs)),

@@ -79,9 +79,6 @@ func writeTree(w io.Writer, s *Span, depth int, rootDur time.Duration) {
 	if s.Error != "" {
 		fmt.Fprintf(&sb, "  !error: %s", s.Error)
 	}
-	if s.DroppedChildren > 0 {
-		fmt.Fprintf(&sb, "  (+%d dropped children)", s.DroppedChildren)
-	}
 	fmt.Fprintln(w, sb.String())
 	for _, e := range s.Events {
 		fmt.Fprintf(w, "%s@ %-10s %s", strings.Repeat("  ", depth+1),

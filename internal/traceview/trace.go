@@ -15,21 +15,9 @@ import (
 	"os"
 	"sort"
 	"time"
-)
 
-// Meta is the trace file's first line: the run's provenance (see
-// obs.TraceMeta; duplicated here so reading a trace does not import
-// the writer).
-type Meta struct {
-	Type       string `json:"type"`
-	RunID      string `json:"run_id"`
-	Tool       string `json:"tool"`
-	GoVersion  string `json:"go_version"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Hostname   string `json:"hostname,omitempty"`
-	StartNS    int64  `json:"start_unix_ns"`
-}
+	"auditherm/internal/obs"
+)
 
 // Event is one timestamped point event inside a span.
 type Event struct {
@@ -59,9 +47,8 @@ type Span struct {
 	ParentRun  string `json:"parent_run,omitempty"`
 	ParentSpan uint64 `json:"parent_span,omitempty"`
 
-	DroppedAttrs    int64 `json:"dropped_attrs,omitempty"`
-	DroppedEvents   int64 `json:"dropped_events,omitempty"`
-	DroppedChildren int64 `json:"dropped_children,omitempty"`
+	DroppedAttrs  int64 `json:"dropped_attrs,omitempty"`
+	DroppedEvents int64 `json:"dropped_events,omitempty"`
 
 	Children []*Span `json:"-"`
 	// Proc indexes the trace this span came from (Trace.Procs) in a
@@ -77,14 +64,15 @@ func (s *Span) Duration() time.Duration {
 // Trace is one fully loaded trace file, or the merged view of
 // several (see Merge).
 type Trace struct {
-	Meta  Meta
+	// Meta is the trace's first line: the run's provenance.
+	Meta  obs.TraceMeta
 	Spans []*Span
 	// Roots are the spans with no exported parent, ordered by start
 	// time (ties broken by ID, so ordering is deterministic).
 	Roots []*Span
 	// Procs holds the per-process meta lines of a merged view, indexed
 	// by Span.Proc; nil for a single-process trace.
-	Procs []Meta
+	Procs []obs.TraceMeta
 	byID  map[uint64]*Span
 }
 

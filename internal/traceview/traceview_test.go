@@ -10,10 +10,11 @@ import (
 
 // syntheticTrace is a small run: a root with two sequential pipeline
 // stages (one hit, one miss with an error-free compute), plus two
-// overlapping par workers under the miss, plus a monitor event.
+// overlapping par workers under the miss (the second one errored),
+// plus a monitor event.
 const syntheticTrace = `{"type":"meta","run_id":"run-7","tool":"repro","go_version":"go1.24.0","gomaxprocs":4,"num_cpu":4,"hostname":"bench-host","start_unix_ns":1000}
 {"type":"span","id":3,"parent":2,"name":"par/worker","start_ns":2000,"end_ns":5000,"attrs":{"worker":0},"counts":{"tasks":7}}
-{"type":"span","id":4,"parent":2,"name":"par/worker","start_ns":2100,"end_ns":4800,"attrs":{"worker":1},"counts":{"tasks":5}}
+{"type":"span","id":4,"parent":2,"name":"par/worker","start_ns":2100,"end_ns":4800,"error":"task 3: sensor s07 offline","attrs":{"worker":1},"counts":{"tasks":5}}
 {"type":"span","id":2,"parent":1,"name":"pipeline/simulate","start_ns":1500,"end_ns":6000,"attrs":{"cache_hit":false,"cache_key":"abcd1234","artifact_bytes":2048},"counts":{"cache_hit":0},"events":[{"t_ns":3000,"name":"monitor/alarm","attrs":{"sensor":"s07"}}]}
 {"type":"span","id":5,"parent":1,"name":"pipeline/dataset","start_ns":6100,"end_ns":6500,"attrs":{"cache_hit":true,"cache_key":"ff00aa11","artifact_digest":"deadbeef"},"counts":{"cache_hit":1}}
 {"type":"span","id":1,"parent":0,"name":"repro","start_ns":1000,"end_ns":7000}
@@ -74,7 +75,8 @@ func TestWriteReport(t *testing.T) {
 		"# span tree", "repro", "pipeline/simulate", "par/worker",
 		"cache_hit=false", "cache_hit=true", "worker=0",
 		"monitor/alarm", "sensor=s07",
-		"# by name", "1 cache hits",
+		"!error: task 3: sensor s07 offline",
+		"# by name", "1 errored", "1 cache hits",
 		"# critical path",
 	} {
 		if !strings.Contains(out, want) {
