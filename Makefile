@@ -80,12 +80,16 @@ flake:
 # FuzzTraceEncode: for any span name, attribute, event and error
 # strings the exported trace line is valid UTF-8 and valid JSON, and
 # decodes to the strings encoding/json's own round trip gives.
+# FuzzReadCSV: any bytes either fail dataset.ReadCSV or give a frame
+# whose CSV is a fixed point (WriteCSV -> ReadCSV -> WriteCSV) and
+# that FrameMatrices and GridModeWindows take without panicking.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceRef$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceEncode$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

@@ -6,9 +6,8 @@ import (
 )
 
 // Building is the common surface every thermal archetype presents to
-// the rest of the stack: step dynamics driven by Inputs, a floor-plan
-// temperature field probed at Points, and the well-mixed humidity and
-// CO2 states the sensor co-simulation samples. *Simulator (the
+// the rest of the stack: step dynamics driven by Inputs and a
+// floor-plan temperature field probed at Points. *Simulator (the
 // auditorium), *Office and *Residence all satisfy it.
 type Building interface {
 	// Step advances the model by dt under the given inputs.
@@ -21,11 +20,6 @@ type Building interface {
 	// MeanTemp returns the average zone temperature (the return-air
 	// temperature seen by the plant).
 	MeanTemp() float64
-	// RelativeHumidityAt returns the relative humidity (percent) at a
-	// floor-plan point.
-	RelativeHumidityAt(p Point) float64
-	// CO2 returns the well-mixed CO2 concentration in ppm.
-	CO2() float64
 }
 
 var (

@@ -30,7 +30,7 @@ type Point struct {
 	Y float64 // meters from the left wall
 }
 
-// SensorSpec describes one installed temperature/humidity sensor.
+// SensorSpec describes one installed temperature sensor.
 type SensorSpec struct {
 	// ID is the paper-style sensor number (1-based).
 	ID int

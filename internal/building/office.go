@@ -45,14 +45,6 @@ type OfficeConfig struct {
 	LightingPower float64
 	// InitialTemp is the uniform starting temperature in degC.
 	InitialTemp float64
-	// OccupantMoisture is the latent moisture release per person in kg/s.
-	OccupantMoisture float64
-	// SupplyHumidity is the supply-air humidity ratio in kg/kg.
-	SupplyHumidity float64
-	// OccupantCO2 is the CO2 generation per person in m^3/s.
-	OccupantCO2 float64
-	// AmbientCO2 is the outdoor CO2 concentration in ppm.
-	AmbientCO2 float64
 	// MaxStep caps the internal integration substep (default 10 s).
 	MaxStep time.Duration
 }
@@ -72,10 +64,6 @@ func DefaultOfficeConfig() OfficeConfig {
 		OccupantHeat:      100,
 		LightingPower:     4000,
 		InitialTemp:       21,
-		OccupantMoisture:  1.5e-5,
-		SupplyHumidity:    0.008,
-		OccupantCO2:       5.2e-6,
-		AmbientCO2:        420,
 		MaxStep:           10 * time.Second,
 	}
 }
@@ -170,14 +158,8 @@ type Office struct {
 	roofUA  float64   // per-zone roof conductance, W/K
 	zoneCap float64   // J/K per zone
 
-	airMass float64 // kg, actual room air mass
-	volume  float64 // m^3
-
 	zoneFlow []float64 // scratch: per-zone supply flow, kg/s
 	colFlow  []float64 // scratch: per-column supply flow, kg/s
-
-	humidity float64 // kg/kg, well mixed
-	co2      float64 // ppm, well mixed
 }
 
 // NewOffice validates cfg and returns an office at the initial
@@ -202,9 +184,8 @@ func NewOffice(cfg OfficeConfig) (*Office, error) {
 		zoneFlow: make([]float64, n),
 		colFlow:  make([]float64, cfg.ZY),
 	}
-	o.volume = cfg.Depth * cfg.Width * cfg.Height
-	o.airMass = o.volume * airDensity
-	o.zoneCap = o.airMass / float64(n) * cfg.ThermalMassFactor * airCp
+	airMass := cfg.Depth * cfg.Width * cfg.Height * airDensity // kg, unscaled
+	o.zoneCap = airMass / float64(n) * cfg.ThermalMassFactor * airCp
 	o.roofUA = cfg.RoofUA / float64(n)
 
 	// The identified thermal network: base conductance times the
@@ -236,8 +217,6 @@ func NewOffice(cfg OfficeConfig) (*Office, error) {
 	for i := range o.temps {
 		o.temps[i] = cfg.InitialTemp
 	}
-	o.humidity = cfg.SupplyHumidity
-	o.co2 = cfg.AmbientCO2
 	return o, nil
 }
 
@@ -289,7 +268,6 @@ func (o *Office) substep(sub float64, in Inputs) {
 
 	// Each VAV serves a contiguous band of Y columns; its flow splits
 	// evenly over the zones in the band.
-	var totalFlow float64
 	zoneFlow := o.zoneFlow
 	for i := range zoneFlow {
 		zoneFlow[i] = 0
@@ -305,7 +283,6 @@ func (o *Office) substep(sub float64, in Inputs) {
 				col = o.zy - 1
 			}
 			colFlow[col] += f
-			totalFlow += f
 		}
 		for ix := 0; ix < o.zx; ix++ {
 			for iy := 0; iy < o.zy; iy++ {
@@ -361,21 +338,6 @@ func (o *Office) substep(sub float64, in Inputs) {
 		}
 	}
 	o.temps, o.scratch = next, old
-
-	if totalFlow > 0 || in.Occupants > 0 {
-		dw := (float64(in.Occupants)*cfg.OccupantMoisture +
-			totalFlow*(cfg.SupplyHumidity-o.humidity)) / o.airMass
-		o.humidity += sub * dw
-		if o.humidity < 0 {
-			o.humidity = 0
-		}
-	}
-	q := totalFlow / airDensity
-	dc := (float64(in.Occupants)*cfg.OccupantCO2*1e6 + q*(cfg.AmbientCO2-o.co2)) / o.volume
-	o.co2 += sub * dc
-	if o.co2 < cfg.AmbientCO2 {
-		o.co2 = cfg.AmbientCO2
-	}
 }
 
 // TemperatureAt returns the air temperature at a floor-plan point by
@@ -403,19 +365,3 @@ func (o *Office) MeanTemp() float64 {
 	}
 	return sum / float64(len(o.temps))
 }
-
-// RelativeHumidityAt returns the relative humidity (percent) at a point.
-func (o *Office) RelativeHumidityAt(p Point) float64 {
-	t := o.TemperatureAt(p)
-	rh := 100 * o.humidity / saturationRatio(t)
-	if rh < 0 {
-		return 0
-	}
-	if rh > 100 {
-		return 100
-	}
-	return rh
-}
-
-// CO2 returns the well-mixed CO2 concentration in ppm.
-func (o *Office) CO2() float64 { return o.co2 }

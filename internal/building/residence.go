@@ -17,8 +17,6 @@ import (
 type ResidenceConfig struct {
 	// FloorArea is the conditioned floor area in m^2.
 	FloorArea float64
-	// Height is the storey height in meters.
-	Height float64
 	// Zones is the number of lumped air nodes in the front-to-back
 	// chain (at least 2).
 	Zones int
@@ -47,14 +45,6 @@ type ResidenceConfig struct {
 	LightingPower float64
 	// InitialTemp is the uniform starting temperature in degC.
 	InitialTemp float64
-	// OccupantMoisture is the latent moisture release per person in kg/s.
-	OccupantMoisture float64
-	// SupplyHumidity is the supply-air humidity ratio in kg/kg.
-	SupplyHumidity float64
-	// OccupantCO2 is the CO2 generation per person in m^3/s.
-	OccupantCO2 float64
-	// AmbientCO2 is the outdoor CO2 concentration in ppm.
-	AmbientCO2 float64
 	// MaxStep caps the internal integration substep (default 10 s).
 	MaxStep time.Duration
 }
@@ -64,7 +54,6 @@ type ResidenceConfig struct {
 func DefaultResidenceConfig() ResidenceConfig {
 	return ResidenceConfig{
 		FloorArea:            120,
-		Height:               2.5,
 		Zones:                4,
 		R:                    8,
 		C:                    12000,
@@ -77,10 +66,6 @@ func DefaultResidenceConfig() ResidenceConfig {
 		OccupantHeat:         90,
 		LightingPower:        300,
 		InitialTemp:          20,
-		OccupantMoisture:     1.5e-5,
-		SupplyHumidity:       0.008,
-		OccupantCO2:          5.2e-6,
-		AmbientCO2:           420,
 		MaxStep:              10 * time.Second,
 	}
 }
@@ -89,9 +74,6 @@ func DefaultResidenceConfig() ResidenceConfig {
 func (c ResidenceConfig) Validate() error {
 	if c.FloorArea <= 0 {
 		return fmt.Errorf("building: residence floor area %v must be positive", c.FloorArea)
-	}
-	if c.Height <= 0 {
-		return fmt.Errorf("building: residence height %v must be positive", c.Height)
 	}
 	if c.Zones < 2 {
 		return fmt.Errorf("building: residence needs at least 2 zones, got %d", c.Zones)
@@ -185,12 +167,6 @@ type Residence struct {
 	interUA   float64 // W/K between adjacent nodes
 	solarGain float64 // W total at peak irradiance
 
-	airMass float64 // kg
-	volume  float64 // m^3
-
-	humidity float64 // kg/kg, well mixed
-	co2      float64 // ppm, well mixed
-
 	elapsed float64 // seconds simulated (drives the solar diurnal phase)
 }
 
@@ -209,8 +185,6 @@ func NewResidence(cfg ResidenceConfig) (*Residence, error) {
 		scratch: make([]float64, cfg.Zones),
 	}
 	r.depth, r.width = cfg.Dims()
-	r.volume = cfg.FloorArea * cfg.Height
-	r.airMass = r.volume * airDensity
 	// The whole-house R/C pair splits evenly over the node chain:
 	// R in K/kW means the envelope conductance is 1000/R W/K total,
 	// C in kJ/K means 1000*C J/K total.
@@ -223,8 +197,6 @@ func NewResidence(cfg ResidenceConfig) (*Residence, error) {
 	for i := range r.temps {
 		r.temps[i] = cfg.InitialTemp
 	}
-	r.humidity = cfg.SupplyHumidity
-	r.co2 = cfg.AmbientCO2
 	return r, nil
 }
 
@@ -324,22 +296,6 @@ func (r *Residence) substep(sub float64, in Inputs) {
 		next[i] = relax(ti, g, gt, load, sub, r.nodeCap)
 	}
 	r.temps, r.scratch = next, old
-
-	if totalFlow > 0 || in.Occupants > 0 {
-		dw := (float64(in.Occupants)*cfg.OccupantMoisture +
-			totalFlow*(cfg.SupplyHumidity-r.humidity)) / r.airMass
-		r.humidity += sub * dw
-		if r.humidity < 0 {
-			r.humidity = 0
-		}
-	}
-	q := totalFlow / airDensity
-	dc := (float64(in.Occupants)*cfg.OccupantCO2*1e6 + q*(cfg.AmbientCO2-r.co2)) / r.volume
-	r.co2 += sub * dc
-	if r.co2 < cfg.AmbientCO2 {
-		r.co2 = cfg.AmbientCO2
-	}
-
 	r.elapsed += sub
 }
 
@@ -379,19 +335,3 @@ func (r *Residence) MeanTemp() float64 {
 	}
 	return sum / float64(len(r.temps))
 }
-
-// RelativeHumidityAt returns the relative humidity (percent) at a point.
-func (r *Residence) RelativeHumidityAt(p Point) float64 {
-	t := r.TemperatureAt(p)
-	rh := 100 * r.humidity / saturationRatio(t)
-	if rh < 0 {
-		return 0
-	}
-	if rh > 100 {
-		return 100
-	}
-	return rh
-}
-
-// CO2 returns the well-mixed CO2 concentration in ppm.
-func (r *Residence) CO2() float64 { return r.co2 }

@@ -88,15 +88,6 @@ type Config struct {
 	PlenumMass float64
 	// InitialTemp is the uniform starting temperature in degC.
 	InitialTemp float64
-	// OccupantMoisture is the latent moisture release per person in
-	// kg/s.
-	OccupantMoisture float64
-	// SupplyHumidity is the supply-air humidity ratio in kg/kg.
-	SupplyHumidity float64
-	// OccupantCO2 is the CO2 generation per person in m^3/s.
-	OccupantCO2 float64
-	// AmbientCO2 is the outdoor CO2 concentration in ppm.
-	AmbientCO2 float64
 	// MaxStep caps the internal integration substep; Step subdivides
 	// larger dt values so physics fidelity does not depend on the
 	// caller's stepping.
@@ -127,10 +118,6 @@ func DefaultConfig() Config {
 		NumOutlets:            2,
 		PlenumMass:            135,
 		InitialTemp:           20,
-		OccupantMoisture:      1.5e-5,
-		SupplyHumidity:        0.008,
-		OccupantCO2:           5.2e-6,
-		AmbientCO2:            420,
 		MaxStep:               10 * time.Second,
 	}
 }
@@ -148,7 +135,7 @@ type Inputs struct {
 }
 
 // Simulator is the zonal auditorium model. It is advanced by Step and
-// probed with TemperatureAt / RelativeHumidityAt / CO2.
+// probed with TemperatureAt.
 type Simulator struct {
 	cfg Config
 
@@ -164,12 +151,6 @@ type Simulator struct {
 	seatCells []int     // indices receiving occupant heat
 	seatMask  []bool    // per-cell seating membership
 	outletOf  []int     // supply outlet feeding each front cell (-1: none)
-
-	airMass float64 // kg, actual (unscaled) room air mass
-	volume  float64 // m^3
-
-	humidity float64 // kg/kg, well mixed
-	co2      float64 // ppm, well mixed
 
 	elapsed float64 // seconds simulated so far (drives seasonal drift)
 }
@@ -194,9 +175,8 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		outlet:  make([]float64, cfg.NumOutlets),
 		envUA:   make([]float64, n),
 	}
-	s.volume = RoomDepth * RoomWidth * cfg.Height
-	s.airMass = s.volume * airDensity
-	cellMass := s.airMass / float64(n) * cfg.ThermalMassFactor
+	airMass := RoomDepth * RoomWidth * cfg.Height * airDensity // kg, unscaled
+	cellMass := airMass / float64(n) * cfg.ThermalMassFactor
 	s.cellCap = cellMass * airCp
 	s.groundUA = cfg.GroundUA / float64(n)
 
@@ -242,8 +222,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	for o := range s.outlet {
 		s.outlet[o] = cfg.InitialTemp
 	}
-	s.humidity = cfg.SupplyHumidity
-	s.co2 = cfg.AmbientCO2
 	return s, nil
 }
 
@@ -438,25 +416,6 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 		}
 	}
 	s.temps, s.scratch = next, old
-
-	// Well-mixed moisture balance on the true air mass.
-	if totalFlow > 0 || in.Occupants > 0 {
-		dw := (float64(in.Occupants)*cfg.OccupantMoisture +
-			totalFlow*(cfg.SupplyHumidity-s.humidity)) / s.airMass
-		s.humidity += sub * dw
-		if s.humidity < 0 {
-			s.humidity = 0
-		}
-	}
-
-	// Well-mixed CO2 balance (supply air is outdoor-equivalent for CO2).
-	q := totalFlow / airDensity // m^3/s
-	dc := (float64(in.Occupants)*cfg.OccupantCO2*1e6 + q*(cfg.AmbientCO2-s.co2)) / s.volume
-	s.co2 += sub * dc
-	if s.co2 < cfg.AmbientCO2 {
-		s.co2 = cfg.AmbientCO2
-	}
-
 	s.elapsed += sub
 }
 
@@ -581,33 +540,4 @@ func (s *Simulator) MeanTemp() float64 {
 		sum += t
 	}
 	return sum / float64(len(s.temps))
-}
-
-// RelativeHumidityAt returns the relative humidity (percent) at a
-// point: the well-mixed humidity ratio evaluated against the local
-// temperature's saturation ratio.
-func (s *Simulator) RelativeHumidityAt(p Point) float64 {
-	t := s.TemperatureAt(p)
-	rh := 100 * s.humidity / saturationRatio(t)
-	if rh < 0 {
-		return 0
-	}
-	if rh > 100 {
-		return 100
-	}
-	return rh
-}
-
-// CO2 returns the well-mixed CO2 concentration in ppm.
-func (s *Simulator) CO2() float64 { return s.co2 }
-
-// saturationRatio is the saturation humidity ratio (kg/kg) at t degC
-// and standard pressure, via the Magnus formula.
-func saturationRatio(t float64) float64 {
-	psat := 610.94 * math.Exp(17.625*t/(t+243.04))
-	const pAtm = 101325.0
-	if psat >= pAtm {
-		psat = pAtm - 1
-	}
-	return 0.622 * psat / (pAtm - psat)
 }

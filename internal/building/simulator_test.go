@@ -63,12 +63,6 @@ func TestStepOccupantHeating(t *testing.T) {
 	if mean := s.MeanTemp(); mean < 15 || mean > 45 {
 		t.Errorf("mean temp %v outside physical range", mean)
 	}
-	if co2 := s.CO2(); co2 <= cfg.AmbientCO2 {
-		t.Errorf("CO2 %v did not rise above ambient %v", co2, cfg.AmbientCO2)
-	}
-	if rh := s.RelativeHumidityAt(seat); rh <= 0 || rh >= 100 {
-		t.Errorf("relative humidity %v outside (0, 100)", rh)
-	}
 }
 
 // TestStepCoolingFront verifies supply air cools the front of the room

@@ -44,7 +44,10 @@ func WriteCSV(w io.Writer, f *timeseries.Frame) error {
 
 // ReadCSV decodes a frame written by WriteCSV. The grid step is
 // inferred from the first two timestamps; the rows must be evenly
-// spaced.
+// spaced. The step must be a whole number of seconds that divides
+// 24 h (the mode windows cut the grid into days, and WriteCSV writes
+// whole-second timestamps), the first timestamp must fall on a whole
+// second, and channel names must be unique.
 func ReadCSV(r io.Reader) (*timeseries.Frame, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -59,6 +62,13 @@ func ReadCSV(r io.Reader) (*timeseries.Frame, error) {
 		return nil, fmt.Errorf("dataset: CSV header must start with \"time\", got %v", header)
 	}
 	channels := header[1:]
+	seen := make(map[string]bool, len(channels))
+	for _, c := range channels {
+		if seen[c] {
+			return nil, fmt.Errorf("dataset: CSV header repeats channel %q", c)
+		}
+		seen[c] = true
+	}
 	rows := records[1:]
 	t0, err := time.Parse(time.RFC3339, rows[0][0])
 	if err != nil {
@@ -71,6 +81,12 @@ func ReadCSV(r io.Reader) (*timeseries.Frame, error) {
 	step := t1.Sub(t0)
 	if step <= 0 {
 		return nil, fmt.Errorf("dataset: non-increasing CSV timestamps %v, %v", t0, t1)
+	}
+	if step%time.Second != 0 || (24*time.Hour)%step != 0 {
+		return nil, fmt.Errorf("dataset: CSV step %v must be a whole number of seconds that divides 24h", step)
+	}
+	if t0.Nanosecond() != 0 {
+		return nil, fmt.Errorf("dataset: CSV starts at %q, not on a whole second", rows[0][0])
 	}
 	grid := timeseries.Grid{Start: t0, Step: step, N: len(rows)}
 	f := timeseries.NewFrame(grid, channels)

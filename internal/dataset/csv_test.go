@@ -75,19 +75,33 @@ func TestReadCSVErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
+		want string // substring the error must carry, if any
 	}{
-		{"empty", ""},
-		{"header only", "time,s1\n"},
-		{"one row", "time,s1\n2013-01-31T00:00:00Z,20\n"},
-		{"bad header", "when,s1\n2013-01-31T00:00:00Z,20\n2013-01-31T00:15:00Z,21\n"},
-		{"bad timestamp", "time,s1\nnope,20\n2013-01-31T00:15:00Z,21\n"},
-		{"reversed timestamps", "time,s1\n2013-01-31T00:15:00Z,20\n2013-01-31T00:00:00Z,21\n"},
-		{"irregular grid", "time,s1\n2013-01-31T00:00:00Z,20\n2013-01-31T00:15:00Z,21\n2013-01-31T00:35:00Z,22\n"},
-		{"bad float", "time,s1\n2013-01-31T00:00:00Z,x\n2013-01-31T00:15:00Z,21\n"},
+		{"empty", "", ""},
+		{"header only", "time,s1\n", ""},
+		{"one row", "time,s1\n2013-01-31T00:00:00Z,20\n", ""},
+		{"bad header", "when,s1\n2013-01-31T00:00:00Z,20\n2013-01-31T00:15:00Z,21\n", ""},
+		{"bad timestamp", "time,s1\nnope,20\n2013-01-31T00:15:00Z,21\n", ""},
+		{"reversed timestamps", "time,s1\n2013-01-31T00:15:00Z,20\n2013-01-31T00:00:00Z,21\n", ""},
+		{"irregular grid", "time,s1\n2013-01-31T00:00:00Z,20\n2013-01-31T00:15:00Z,21\n2013-01-31T00:35:00Z,22\n", ""},
+		{"bad float", "time,s1\n2013-01-31T00:00:00Z,x\n2013-01-31T00:15:00Z,21\n", ""},
+		// A step longer than a day left GridModeWindows zero steps per
+		// day (an integer divide by zero); one that does not divide a
+		// day made every "day" of the mode windows the wrong length; a
+		// sub-second one came back from WriteCSV as duplicate
+		// timestamps; a repeated name shadowed its second column.
+		{"48h step", "time,s1\n2013-01-31T00:00:00Z,20\n2013-02-02T00:00:00Z,21\n2013-02-04T00:00:00Z,22\n", "step 48h0m0s"},
+		{"7m step", "time,s1\n2013-01-31T00:00:00Z,20\n2013-01-31T00:07:00Z,21\n", "step 7m0s"},
+		{"500ms step", "time,s1\n2013-01-31T00:00:00Z,20\n2013-01-31T00:00:00.5Z,21\n", "step 500ms"},
+		{"fractional start", "time,s1\n2013-01-31T00:00:00.5Z,20\n2013-01-31T00:15:00.5Z,21\n", "2013-01-31T00:00:00.5Z"},
+		{"duplicate channel", "time,s1,s1\n2013-01-31T00:00:00Z,20,30\n2013-01-31T00:15:00Z,21,31\n", `channel "s1"`},
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
 }
@@ -107,4 +121,39 @@ func TestCSVGeneratedDataset(t *testing.T) {
 	if got.MissingFraction() != d.Frame.MissingFraction() {
 		t.Errorf("missing fraction changed: %v vs %v", got.MissingFraction(), d.Frame.MissingFraction())
 	}
+}
+
+// FuzzReadCSV: any bytes either fail ReadCSV or decode to a frame that
+// WriteCSV → ReadCSV → WriteCSV reproduces byte for byte, and that
+// FrameMatrices and both modes' GridModeWindows (the readers behind
+// the sysid, cluster and select stages) take without panicking.
+func FuzzReadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteCSV(&first, fr); err != nil {
+			t.Fatalf("writing a read frame: %v", err)
+		}
+		back, err := ReadCSV(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reading a written frame: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteCSV(&second, back); err != nil {
+			t.Fatalf("writing a re-read frame: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("CSV is not a fixed point:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+		FrameMatrices(fr) // an error is fine; a panic is not
+		for _, mode := range []Mode{Occupied, Unoccupied} {
+			for _, w := range GridModeWindows(fr.Grid, mode, 6, 21) {
+				if w.Start < 0 || w.Start > w.End || w.End > fr.Grid.N {
+					t.Fatalf("%v window [%d, %d) outside a %d-step grid", mode, w.Start, w.End, fr.Grid.N)
+				}
+			}
+		}
+	})
 }

@@ -30,15 +30,10 @@ const (
 	ChannelLight     = "light"
 	ChannelAmbient   = "ambient"
 	ChannelSupply    = "supply"
-	ChannelCO2       = "co2"
 )
 
 // VAVChannel returns the airflow channel name of VAV i (1-based).
 func VAVChannel(i int) string { return fmt.Sprintf("vav%d", i) }
-
-// RHChannel returns the relative-humidity channel name of a wireless
-// sensor (the paper's nodes measure temperature and humidity).
-func RHChannel(id int) string { return fmt.Sprintf("rh%d", id) }
 
 // Config parameterizes dataset generation.
 type Config struct {
@@ -242,7 +237,7 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	outages := sensornet.GenerateOutages(cfg.Start, end, cfg.NumLongOutages, cfg.NumShortOutages, cfg.Seed+200)
 	store := sensornet.NewStore(outages)
-	nodes := make([]*sensornet.Node, 0, 2*len(sensors))
+	nodes := make([]*sensornet.Node, 0, len(sensors))
 	for _, sp := range sensors {
 		nodeCfg := cfg.Node
 		if sp.Thermostat {
@@ -255,26 +250,6 @@ func Generate(cfg Config) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: node %s: %w", sp.Name(), err)
 		}
 		nodes = append(nodes, n)
-	}
-	// The wireless nodes also report relative humidity (percent), with
-	// coarser resolution and calibration than temperature.
-	rhCfg := sensornet.NodeConfig{
-		ReportThreshold: 1.0,
-		CalibrationStd:  2.0,
-		ReadNoiseStd:    0.4,
-		LossProb:        cfg.Node.LossProb,
-	}
-	var rhSensors []building.SensorSpec
-	for _, sp := range sensors {
-		if sp.Thermostat {
-			continue
-		}
-		n, err := sensornet.NewNode(RHChannel(sp.ID), rhCfg, cfg.Seed+600+int64(sp.ID))
-		if err != nil {
-			return nil, fmt.Errorf("dataset: humidity node rh%d: %w", sp.ID, err)
-		}
-		nodes = append(nodes, n)
-		rhSensors = append(rhSensors, sp)
 	}
 	net, err := sensornet.NewNetwork(nodes, store)
 	if err != nil {
@@ -318,9 +293,7 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// Co-simulation loop.
 	nSteps := int(end.Sub(cfg.Start) / cfg.SimStep)
-	truths := make([]float64, len(sensors)+len(rhSensors))
-	co2Series := timeseries.NewSeries(ChannelCO2)
-	nextCO2 := cfg.Start
+	truths := make([]float64, len(sensors))
 	for k := 0; k < nSteps; k++ {
 		t := cfg.Start.Add(time.Duration(k) * cfg.SimStep)
 
@@ -351,9 +324,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		for i, sp := range sensors {
 			truths[i] = sim.TemperatureAt(sp.Pos)
 		}
-		for i, sp := range rhSensors {
-			truths[len(sensors)+i] = sim.RelativeHumidityAt(sp.Pos)
-		}
 		if err := net.Sample(t, truths); err != nil {
 			return nil, fmt.Errorf("dataset: network sample at %v: %w", t, err)
 		}
@@ -361,10 +331,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		// its records too.
 		if !store.InOutage(t) {
 			portal.Offer(t, st)
-			if !t.Before(nextCO2) {
-				co2Series.Append(t, sim.CO2())
-				nextCO2 = t.Add(10 * time.Minute)
-			}
 		}
 
 		// Record ground truth once per grid cell: the first sim step at
@@ -385,10 +351,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		Outages:  outages,
 	}
 	channels := append(append([]string{}, d.SensorNames()...), d.InputNames()...)
-	channels = append(channels, ChannelSupply, ChannelCO2)
-	for _, sp := range rhSensors {
-		channels = append(channels, RHChannel(sp.ID))
-	}
+	channels = append(channels, ChannelSupply)
 	frame := timeseries.NewFrame(grid, channels)
 
 	for _, sp := range sensors {
@@ -407,18 +370,6 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 	if err := frame.SetChannel(ChannelSupply, portal.SupplySeries().Resample(grid, time.Hour)); err != nil {
 		return nil, err
-	}
-	if err := frame.SetChannel(ChannelCO2, co2Series.Resample(grid, time.Hour)); err != nil {
-		return nil, err
-	}
-	for _, sp := range rhSensors {
-		ser, err := store.Series(RHChannel(sp.ID))
-		if err != nil {
-			return nil, fmt.Errorf("dataset: humidity sensor rh%d never reported: %w", sp.ID, err)
-		}
-		if err := frame.SetChannel(RHChannel(sp.ID), ser.Resample(grid, cfg.MaxStale)); err != nil {
-			return nil, err
-		}
 	}
 	if err := frame.SetChannel(ChannelOccupancy, cameraSeries.Resample(grid, 40*time.Minute)); err != nil {
 		return nil, err

@@ -59,9 +59,9 @@ func TestGenerateShape(t *testing.T) {
 	if got := len(d.Sensors); got != 27 {
 		t.Errorf("sensors = %d, want 27", got)
 	}
-	// 27 temps + 4 VAVs + occ + light + ambient + supply + co2 + 25 RH.
-	if got := len(d.Frame.Channels); got != 61 {
-		t.Errorf("channels = %d, want 61", got)
+	// 27 temps + 4 VAVs + occ + light + ambient + supply.
+	if got := len(d.Frame.Channels); got != 35 {
+		t.Errorf("channels = %d, want 35", got)
 	}
 	if got := len(d.InputNames()); got != 7 {
 		t.Errorf("inputs = %d, want 7 (4 VAV + occ + light + ambient)", got)
@@ -348,51 +348,6 @@ func TestFullScaleTrace(t *testing.T) {
 	}
 	if spread := max - min; spread < 1 || spread > 4.5 {
 		t.Errorf("seminar snapshot spread = %v, want ~2-3", spread)
-	}
-}
-
-func TestHumidityAndCO2Channels(t *testing.T) {
-	d := mustGenerate(t, smallConfig())
-	co2, err := d.Frame.Channel(ChannelCO2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawElevated bool
-	for _, v := range co2 {
-		if math.IsNaN(v) {
-			continue
-		}
-		if v < 350 || v > 5000 {
-			t.Fatalf("co2 %v ppm implausible", v)
-		}
-		if v > 700 {
-			sawElevated = true
-		}
-	}
-	if !sawElevated {
-		t.Error("co2 never rose above 700 ppm despite classes")
-	}
-	// One RH channel per wireless sensor, values in [0, 100].
-	var rhChannels int
-	for _, name := range d.Frame.Channels {
-		if len(name) > 2 && name[:2] == "rh" {
-			rhChannels++
-			vals, err := d.Frame.Channel(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range vals {
-				if math.IsNaN(v) {
-					continue
-				}
-				if v < 0 || v > 100 {
-					t.Fatalf("%s = %v%% out of range", name, v)
-				}
-			}
-		}
-	}
-	if rhChannels != 25 {
-		t.Errorf("RH channels = %d, want 25", rhChannels)
 	}
 }
 

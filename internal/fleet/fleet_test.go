@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"auditherm/internal/artifact"
 	"auditherm/internal/building"
 	"auditherm/internal/pipeline"
 )
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/report_n6_seed126.json and testdata/stages_n6_seed126.json from the current code")
 
 func TestConfigValidate(t *testing.T) {
 	cfg := DefaultConfig()
@@ -119,11 +126,51 @@ func TestFleetSmallParallel(t *testing.T) {
 	}
 }
 
-// TestFleetReportGolden pins a small fleet's report to recorded bytes.
-// Speeding up a stage, or computing a value once instead of twice,
-// must not move a single model, evaluation or summary; a change that
-// has to move them re-pins testdata/report_n6_seed126.json and says
-// why.
+// stageEntry pins one stage artifact's content.
+type stageEntry struct {
+	Digest artifact.Digest `json:"digest"`
+	Bytes  int64           `json:"bytes"`
+}
+
+// stageDiff lists, one line each in name order, every stage whose
+// content differs between want and got, including stages only one
+// side has.
+func stageDiff(want, got map[string]stageEntry) []string {
+	names := make([]string, 0, len(want)+len(got))
+	for name := range want {
+		names = append(names, name)
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var out []string
+	for _, name := range names {
+		w, inWant := want[name]
+		g, inGot := got[name]
+		switch {
+		case !inGot:
+			out = append(out, fmt.Sprintf("%s: gone (was %s, %d B)", name, w.Digest.Short(), w.Bytes))
+		case !inWant:
+			out = append(out, fmt.Sprintf("%s: new (%s, %d B)", name, g.Digest.Short(), g.Bytes))
+		case w != g:
+			out = append(out, fmt.Sprintf("%s: %s, %d B -> %s, %d B", name, w.Digest.Short(), w.Bytes, g.Digest.Short(), g.Bytes))
+		}
+	}
+	return out
+}
+
+// TestFleetReportGolden pins a small fleet's report, and the content
+// of every stage artifact behind it, to recorded bytes. Speeding up a
+// stage, or computing a value once instead of twice, must not move a
+// single model, evaluation or summary; the stage pins also catch a
+// change to an intermediate artifact (a frame, a dataset) that the
+// aggregate report does not show. A change that has to move them
+// re-pins testdata/report_n6_seed126.json and
+// testdata/stages_n6_seed126.json with -update-golden and names the
+// stages it moved.
 func TestFleetReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fleet run")
@@ -133,8 +180,42 @@ func TestFleetReportGolden(t *testing.T) {
 	cfg.Seed = 126
 	cfg.Days = 4
 	cfg.ControlDays = 1
-	got, _ := runFleet(t, cfg, t.TempDir(), 2)
-	want, err := os.ReadFile(filepath.Join("testdata", "report_n6_seed126.json"))
+	got, results := runFleet(t, cfg, t.TempDir(), 2)
+	gotStages := make(map[string]stageEntry, len(results))
+	for _, r := range results {
+		gotStages[r.Stage] = stageEntry{Digest: r.Digest, Bytes: r.Bytes}
+	}
+	reportPath := filepath.Join("testdata", "report_n6_seed126.json")
+	stagesPath := filepath.Join("testdata", "stages_n6_seed126.json")
+	if *updateGolden {
+		stages, err := json.MarshalIndent(gotStages, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(reportPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stagesPath, append(stages, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s and %s (%d stages)", reportPath, stagesPath, len(gotStages))
+		return
+	}
+
+	data, err := os.ReadFile(stagesPath)
+	if err != nil {
+		t.Fatalf("reading stage pins (regenerate with -update-golden): %v", err)
+	}
+	var wantStages map[string]stageEntry
+	if err := json.Unmarshal(data, &wantStages); err != nil {
+		t.Fatal(err)
+	}
+	if moved := stageDiff(wantStages, gotStages); len(moved) > 0 {
+		t.Errorf("%d of %d stages differ from %s:\n%s",
+			len(moved), len(wantStages), stagesPath, strings.Join(moved, "\n"))
+	}
+
+	want, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +224,8 @@ func TestFleetReportGolden(t *testing.T) {
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("report differs from testdata/report_n6_seed126.json at byte %d:\ngot  ...%s\nwant ...%s",
-			i, got[max(0, i-60):min(len(got), i+60)], want[max(0, i-60):min(len(want), i+60)])
+		t.Errorf("report differs from %s at byte %d:\ngot  ...%s\nwant ...%s",
+			reportPath, i, got[max(0, i-60):min(len(got), i+60)], want[max(0, i-60):min(len(want), i+60)])
 	}
 }
 

@@ -8,13 +8,11 @@ import (
 // Cholesky holds the lower-triangular Cholesky factor L of a symmetric
 // positive-definite matrix: A = L*L^T.
 //
-// Beyond the classic factor-once-solve-many usage, the factor is
-// *updatable*: AppendRow grows an order-k factor to order k+1 in O(k^2)
-// (instead of refactoring in O(k^3)), and Rank1Update / Rank1Downdate
-// replace A by A ± x*x^T in O(k^2) via (hyperbolic) plane rotations.
-// These kernels are what make incremental greedy sensor placement
-// (selection.GreedyMI) one factorization per round instead of one per
-// candidate.
+// Beyond the classic factor-once-solve-many usage, the factor can
+// grow: AppendRow extends an order-k factor to order k+1 in O(k^2)
+// instead of refactoring in O(k^3). Incremental greedy sensor
+// placement (selection.GreedyMI) grows its selected-set factor this
+// way, one row per selected sensor.
 //
 // Internally the factor is stored twice — row-major L and row-major
 // L^T — so both the forward and the back substitution stream through
@@ -25,8 +23,7 @@ import (
 //
 // A Cholesky may be used from multiple goroutines only for concurrent
 // reads (Solve, SolveTo, InverseDiag, L, LogDet); the mutating
-// operations (AppendRow, Rank1Update, Rank1Downdate) require exclusive
-// access.
+// AppendRow requires exclusive access.
 type Cholesky struct {
 	n  int    // active order; the top-left n×n of l is the factor
 	l  *Dense // lower-triangular factor, capacity cap×cap
@@ -171,76 +168,6 @@ func (c *Cholesky) AppendRow(b []float64, cc float64) error {
 	}
 	c.lt.RawRow(c.n)[c.n] = diag
 	c.n++
-	return nil
-}
-
-// Rank1Update replaces the factored matrix A by A + x*x^T in O(k^2)
-// using plane (Givens) rotations; A + x*x^T is positive definite
-// whenever A is, so the update cannot fail for finite x. len(x) must
-// equal Order(). x is not modified.
-func (c *Cholesky) Rank1Update(x []float64) error {
-	if len(x) != c.n {
-		return fmt.Errorf("mat: Cholesky rank-1 update with vector length %d for order-%d factor: %w", len(x), c.n, ErrShape)
-	}
-	for _, v := range x {
-		if !isFinite(v) {
-			return fmt.Errorf("mat: Cholesky rank-1 update: %w", ErrNonFinite)
-		}
-	}
-	work := append([]float64(nil), x...)
-	for k := 0; k < c.n; k++ {
-		lkk := c.l.RawRow(k)[k]
-		r := math.Hypot(lkk, work[k])
-		cs := r / lkk
-		sn := work[k] / lkk
-		c.l.RawRow(k)[k] = r
-		c.lt.RawRow(k)[k] = r
-		// Column k of L is row k of L^T: contiguous.
-		col := c.lt.RawRow(k)
-		for i := k + 1; i < c.n; i++ {
-			v := (col[i] + sn*work[i]) / cs
-			col[i] = v
-			c.l.RawRow(i)[k] = v
-			work[i] = cs*work[i] - sn*v
-		}
-	}
-	return nil
-}
-
-// Rank1Downdate replaces the factored matrix A by A - x*x^T in O(k^2)
-// using hyperbolic rotations. It returns an error (wrapping
-// ErrSingular) when A - x*x^T is not positive definite to working
-// precision; the factor contents are then unspecified and the caller
-// should refactor. len(x) must equal Order(). x is not modified.
-func (c *Cholesky) Rank1Downdate(x []float64) error {
-	if len(x) != c.n {
-		return fmt.Errorf("mat: Cholesky rank-1 downdate with vector length %d for order-%d factor: %w", len(x), c.n, ErrShape)
-	}
-	for _, v := range x {
-		if !isFinite(v) {
-			return fmt.Errorf("mat: Cholesky rank-1 downdate: %w", ErrNonFinite)
-		}
-	}
-	work := append([]float64(nil), x...)
-	for k := 0; k < c.n; k++ {
-		lkk := c.l.RawRow(k)[k]
-		d := (lkk - work[k]) * (lkk + work[k])
-		if !(d > 0) {
-			return fmt.Errorf("mat: Cholesky downdate pivot %d is %v: result not positive definite: %w", k, d, ErrSingular)
-		}
-		r := math.Sqrt(d)
-		cs := r / lkk
-		sn := work[k] / lkk
-		c.l.RawRow(k)[k] = r
-		c.lt.RawRow(k)[k] = r
-		col := c.lt.RawRow(k)
-		for i := k + 1; i < c.n; i++ {
-			v := (col[i] - sn*work[i]) / cs
-			col[i] = v
-			c.l.RawRow(i)[k] = v
-			work[i] = cs*work[i] - sn*v
-		}
-	}
 	return nil
 }
 

@@ -125,68 +125,6 @@ func TestCholeskyAppendRowRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestCholeskyRank1UpdateDowndate(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(10)
-		a := spdMatrix(rng, n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		// A + x x^T via rotations vs refactorization.
-		up, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := up.Rank1Update(x); err != nil {
-			t.Fatalf("trial %d update: %v", trial, err)
-		}
-		plus := a.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				plus.Set(i, j, plus.At(i, j)+x[i]*x[j])
-			}
-		}
-		wantUp, err := NewCholesky(plus)
-		if err != nil {
-			t.Fatalf("trial %d plus: %v", trial, err)
-		}
-		if !cholEqual(up, wantUp, 1e-8) {
-			t.Errorf("trial %d: rank-1 update factor differs from refactorization", trial)
-		}
-		// Downdating the update must return to the original factor.
-		if err := up.Rank1Downdate(x); err != nil {
-			t.Fatalf("trial %d downdate: %v", trial, err)
-		}
-		orig, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cholEqual(up, orig, 1e-6) {
-			t.Errorf("trial %d: update+downdate did not round-trip", trial)
-		}
-	}
-}
-
-func TestCholeskyRank1DowndateRejectsIndefinite(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 0, 0, 1})
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// I - 2*e0 e0^T has a negative eigenvalue.
-	if err := c.Rank1Downdate([]float64{math.Sqrt(2), 0}); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-	if err := c.Rank1Update([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("short update err = %v, want ErrShape", err)
-	}
-	if err := c.Rank1Downdate([]float64{1, math.Inf(-1)}); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("Inf downdate err = %v, want ErrNonFinite", err)
-	}
-}
-
 func TestCholeskySolveToInPlaceAndErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	a := spdMatrix(rng, 7)

@@ -112,49 +112,6 @@ func SimpleRandom(p, k int, seed int64) ([]int, error) {
 	return out, nil
 }
 
-// PCALoadings picks n sensors by principal-component loadings: for
-// each of the top n principal components of the covariance matrix (in
-// descending eigenvalue order), the not-yet-selected sensor with the
-// largest absolute loading is chosen. A classic selection baseline
-// from the spatial-statistics literature, complementary to the
-// paper's GP mutual-information placement.
-func PCALoadings(cov *mat.Dense, n int) ([]int, error) {
-	p, q := cov.Dims()
-	if p != q {
-		return nil, fmt.Errorf("selection: covariance is %dx%d: %w", p, q, mat.ErrShape)
-	}
-	if n < 1 || n > p {
-		return nil, fmt.Errorf("selection: PCA picking %d of %d sensors", n, p)
-	}
-	eig, err := mat.NewEigenSym(cov)
-	if err != nil {
-		return nil, fmt.Errorf("selection: PCA eigendecomposition: %w", err)
-	}
-	// Eigenvalues ascend; walk components from the largest down.
-	taken := make([]bool, p)
-	out := make([]int, 0, n)
-	for c := p - 1; c >= 0 && len(out) < n; c-- {
-		vec := eig.Vectors.Col(c)
-		best, bestAbs := -1, -1.0
-		for i, v := range vec {
-			if taken[i] {
-				continue
-			}
-			if a := math.Abs(v); a > bestAbs {
-				bestAbs, best = a, i
-			}
-		}
-		if best >= 0 {
-			taken[best] = true
-			out = append(out, best)
-		}
-	}
-	if len(out) < n {
-		return nil, fmt.Errorf("selection: PCA found only %d of %d sensors", len(out), n)
-	}
-	return out, nil
-}
-
 // ClusterMeanErrors measures how well per-cluster representative sets
 // track their cluster's mean temperature: for every cluster and every
 // step where both are defined, it records |mean(selected) -

@@ -336,42 +336,3 @@ func TestAssignToClusters(t *testing.T) {
 		t.Errorf("empty assignment = %v", empty)
 	}
 }
-
-func TestPCALoadings(t *testing.T) {
-	// Two independent strong modes: sensors 0 and 3 carry them; PCA
-	// must pick one sensor from each mode first.
-	cov := mat.NewDenseData(4, 4, []float64{
-		4.0, 3.8, 0.0, 0.0,
-		3.8, 4.0, 0.0, 0.0,
-		0.0, 0.0, 2.0, 1.9,
-		0.0, 0.0, 1.9, 2.0,
-	})
-	sel, err := PCALoadings(cov, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 2 {
-		t.Fatalf("selected %v", sel)
-	}
-	first := sel[0] <= 1  // from the strong block
-	second := sel[1] >= 2 // from the weak block
-	if !first || !second {
-		t.Errorf("PCA picks %v, want one from {0,1} then one from {2,3}", sel)
-	}
-	seen := map[int]bool{}
-	for _, s := range sel {
-		if seen[s] {
-			t.Errorf("repeated pick in %v", sel)
-		}
-		seen[s] = true
-	}
-	if _, err := PCALoadings(mat.NewDense(2, 3), 1); err == nil {
-		t.Error("rectangular covariance accepted")
-	}
-	if _, err := PCALoadings(cov, 0); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := PCALoadings(cov, 5); err == nil {
-		t.Error("n>p accepted")
-	}
-}
