@@ -83,6 +83,12 @@ flake:
 # FuzzReadCSV: any bytes either fail dataset.ReadCSV or give a frame
 # whose CSV is a fixed point (WriteCSV -> ReadCSV -> WriteCSV) and
 # that FrameMatrices and GridModeWindows take without panicking.
+# FuzzAuditoriumSubstep: for any valid auditorium config, elapsed time
+# and inputs, the compiled stencil substep gives the per-cell oracle's
+# cell and plenum temperatures bit for bit.
+# FuzzSpecJSON: any JSON that decodes to a building.Spec either fails
+# Validate or builds with New and takes one 10-minute Step without
+# panicking, at finite temperatures.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
@@ -90,6 +96,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceRef$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceEncode$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzAuditoriumSubstep$$' -fuzztime 10s ./internal/building
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/building
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

@@ -78,8 +78,12 @@ func (c OfficeConfig) NumEdges() int {
 
 // Validate checks every field against its physical range.
 func (c OfficeConfig) Validate() error {
-	if c.ZX < 1 || c.ZY < 1 || c.ZX*c.ZY < 2 {
-		return fmt.Errorf("building: office zone grid %dx%d must hold at least 2 zones", c.ZX, c.ZY)
+	// Bounding the sides first keeps ZX*ZY from wrapping.
+	if c.ZX < 1 || c.ZY < 1 || c.ZX > maxGridSide || c.ZY > maxGridSide {
+		return fmt.Errorf("building: office zone grid %dx%d must be 1 to %d zones a side", c.ZX, c.ZY, maxGridSide)
+	}
+	if n := c.ZX * c.ZY; n < 2 || n > maxZones {
+		return fmt.Errorf("building: office zone grid %dx%d must hold 2 to %d zones", c.ZX, c.ZY, maxZones)
 	}
 	if c.Depth <= 0 || c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("building: office dimensions %vx%vx%v must be positive", c.Depth, c.Width, c.Height)
@@ -87,25 +91,31 @@ func (c OfficeConfig) Validate() error {
 	if c.ThermalMassFactor < 1 {
 		return fmt.Errorf("building: office thermal mass factor %v must be >= 1", c.ThermalMassFactor)
 	}
-	if c.InterZoneUA <= 0 {
-		return fmt.Errorf("building: office inter-zone conductance %v must be positive", c.InterZoneUA)
+	if c.InterZoneUA < minConductance {
+		return fmt.Errorf("building: office inter-zone conductance %v must be at least %g", c.InterZoneUA, minConductance)
 	}
 	if n := len(c.UAScale); n != 0 && n != c.NumEdges() {
 		return fmt.Errorf("building: office UA scale has %d entries for %d edges", n, c.NumEdges())
 	}
 	for i, s := range c.UAScale {
-		if s <= 0 || math.IsNaN(s) {
-			return fmt.Errorf("building: office UA scale[%d] = %v must be positive", i, s)
+		if !(s >= minConductance && s <= maxMagnitude) {
+			return fmt.Errorf("building: office UA scale[%d] = %v outside [%g, %g]", i, s, minConductance, maxMagnitude)
 		}
 	}
 	if c.EnvelopeUA < 0 || c.RoofUA < 0 {
 		return fmt.Errorf("building: office conductances must be non-negative (envelope %v, roof %v)",
 			c.EnvelopeUA, c.RoofUA)
 	}
-	if c.MaxStep < 0 {
-		return fmt.Errorf("building: office max step %v must not be negative", c.MaxStep)
+	if err := checkMaxStep("office ", c.MaxStep); err != nil {
+		return err
 	}
-	return nil
+	return checkMagnitudes("office ",
+		param{"depth", c.Depth}, param{"width", c.Width}, param{"height", c.Height},
+		param{"thermal mass factor", c.ThermalMassFactor}, param{"inter-zone conductance", c.InterZoneUA},
+		param{"envelope conductance", c.EnvelopeUA}, param{"roof conductance", c.RoofUA},
+		param{"occupant heat", c.OccupantHeat}, param{"lighting power", c.LightingPower},
+		param{"initial temperature", c.InitialTemp},
+	)
 }
 
 // Sensors returns the office deployment: one wireless sensor at each

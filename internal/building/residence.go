@@ -75,17 +75,17 @@ func (c ResidenceConfig) Validate() error {
 	if c.FloorArea <= 0 {
 		return fmt.Errorf("building: residence floor area %v must be positive", c.FloorArea)
 	}
-	if c.Zones < 2 {
-		return fmt.Errorf("building: residence needs at least 2 zones, got %d", c.Zones)
+	if c.Zones < 2 || c.Zones > maxZones {
+		return fmt.Errorf("building: residence needs 2 to %d zones, got %d", maxZones, c.Zones)
 	}
-	if c.R <= 0 {
-		return fmt.Errorf("building: residence envelope resistance %v K/kW must be positive", c.R)
+	if c.R < minConductance {
+		return fmt.Errorf("building: residence envelope resistance %v K/kW must be at least %g", c.R, minConductance)
 	}
 	if c.C <= 0 {
 		return fmt.Errorf("building: residence capacitance %v kJ/K must be positive", c.C)
 	}
-	if c.InterZoneUA <= 0 {
-		return fmt.Errorf("building: residence inter-zone conductance %v must be positive", c.InterZoneUA)
+	if c.InterZoneUA < minConductance {
+		return fmt.Errorf("building: residence inter-zone conductance %v must be at least %g", c.InterZoneUA, minConductance)
 	}
 	if c.WindowFrac < 0 || c.WindowFrac > 1 {
 		return fmt.Errorf("building: residence window fraction %v outside [0, 1]", c.WindowFrac)
@@ -99,10 +99,15 @@ func (c ResidenceConfig) Validate() error {
 		return fmt.Errorf("building: residence glazing factors (%v, %v, %v) must be in (0, 1]",
 			c.GlazingTransmittance, c.FrameFactor, c.SolarAccess)
 	}
-	if c.MaxStep < 0 {
-		return fmt.Errorf("building: residence max step %v must not be negative", c.MaxStep)
+	if err := checkMaxStep("residence ", c.MaxStep); err != nil {
+		return err
 	}
-	return nil
+	return checkMagnitudes("residence ",
+		param{"floor area", c.FloorArea}, param{"envelope resistance", c.R}, param{"capacitance", c.C},
+		param{"inter-zone conductance", c.InterZoneUA}, param{"solar peak", c.SolarPeak},
+		param{"occupant heat", c.OccupantHeat}, param{"lighting power", c.LightingPower},
+		param{"initial temperature", c.InitialTemp},
+	)
 }
 
 // Dims returns the floor-plan extent: a 2:1 rectangle with the

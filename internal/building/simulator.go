@@ -144,15 +144,56 @@ type Simulator struct {
 	scratch []float64
 	outlet  []float64 // per-outlet plenum temperatures
 
-	// Static per-cell parameters.
-	cellCap   float64   // J/K per cell
-	envUA     []float64 // W/K to ambient per cell
-	groundUA  float64   // W/K to ground per cell
-	seatCells []int     // indices receiving occupant heat
-	seatMask  []bool    // per-cell seating membership
-	outletOf  []int     // supply outlet feeding each front cell (-1: none)
+	// Static parameters, compiled by NewSimulator.
+	cellCap        float64       // J/K per cell
+	groundUA       float64       // W/K to ground per cell
+	seats          int           // cells receiving occupant heat
+	logDrift       float64       // math.Log1p(MixDriftPerDay)
+	frontPerOutlet []float64     // front cells fed by each outlet
+	cells          []cellStencil // per-cell update, row-major
+	classRep       []int         // one cell of each conductance class
+
+	// Per-substep scratch, reused so a Step allocates nothing.
+	flows      []float64 // per-outlet supply flow, kg/s
+	supplyUA   []float64 // per-outlet front-cell supply conductance, W/K
+	classG     []float64 // per-class total conductance, W/K
+	classDecay []float64 // per-class exp(-sub*g/cellCap)
 
 	elapsed float64 // seconds simulated so far (drives seasonal drift)
+}
+
+// mixKind selects an edge's mixing conductance: the base MixingUA, the
+// boosted one between two seating cells (occupant-churned zone), or
+// the attenuated one across the stage/seating boundary (the supply jets
+// short-circuit to the stage returns, so the stage microclimate couples
+// only weakly into the seats).
+type mixKind uint8
+
+const (
+	mixBase mixKind = iota
+	mixSeat
+	mixStage
+)
+
+// cellTerms are the terms a cell's total conductance g adds, in order.
+// Cells with equal terms form one conductance class.
+type cellTerms struct {
+	kind   [4]mixKind // each edge's mixing conductance
+	edges  int        // neighbours in use
+	env    float64    // W/K to ambient (perimeter cells)
+	outlet int        // supply outlet feeding a front cell; -1 elsewhere
+}
+
+// cellStencil is one cell's compiled update: the neighbours and terms
+// whose conductance-weighted temperatures it relaxes toward, in the
+// order substep sums them.
+type cellStencil struct {
+	cellTerms
+	nbr   [4]int32 // neighbour cells, edge order ix-1, ix+1, iy-1, iy+1
+	class int      // the cell's conductance class
+	// load picks the cell's heat load: 2 if it is a seat (occupant
+	// heat) plus 1 if it is in the return-plume half (5*ix >= 2*nx).
+	load int
 }
 
 // NewSimulator validates cfg and returns a simulator at the initial
@@ -165,15 +206,20 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		cfg.MaxStep = 10 * time.Second
 	}
 
-	n := cfg.NX * cfg.NY
+	nx, ny := cfg.NX, cfg.NY
+	n := nx * ny
 	s := &Simulator{
-		cfg:     cfg,
-		nx:      cfg.NX,
-		ny:      cfg.NY,
-		temps:   make([]float64, n),
-		scratch: make([]float64, n),
-		outlet:  make([]float64, cfg.NumOutlets),
-		envUA:   make([]float64, n),
+		cfg:            cfg,
+		nx:             nx,
+		ny:             ny,
+		temps:          make([]float64, n),
+		scratch:        make([]float64, n),
+		outlet:         make([]float64, cfg.NumOutlets),
+		logDrift:       math.Log1p(cfg.MixDriftPerDay),
+		frontPerOutlet: make([]float64, cfg.NumOutlets),
+		cells:          make([]cellStencil, n),
+		flows:          make([]float64, cfg.NumOutlets),
+		supplyUA:       make([]float64, cfg.NumOutlets),
 	}
 	airMass := RoomDepth * RoomWidth * cfg.Height * airDensity // kg, unscaled
 	cellMass := airMass / float64(n) * cfg.ThermalMassFactor
@@ -181,40 +227,67 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	s.groundUA = cfg.GroundUA / float64(n)
 
 	// Perimeter cells share the envelope conductance equally.
-	perimeter := 0
-	for ix := 0; ix < s.nx; ix++ {
-		for iy := 0; iy < s.ny; iy++ {
-			if ix == 0 || ix == s.nx-1 || iy == 0 || iy == s.ny-1 {
-				perimeter++
-			}
-		}
-	}
-	for ix := 0; ix < s.nx; ix++ {
-		for iy := 0; iy < s.ny; iy++ {
-			if ix == 0 || ix == s.nx-1 || iy == 0 || iy == s.ny-1 {
-				s.envUA[ix*s.ny+iy] = cfg.EnvelopeUA / float64(perimeter)
-			}
-		}
-	}
-
+	perimeter := 2*nx + 2*ny - 4
 	// Seating cells: centers behind SeatStartX.
-	dx := RoomDepth / float64(s.nx)
-	s.seatMask = make([]bool, n)
-	for ix := 0; ix < s.nx; ix++ {
-		cx := (float64(ix) + 0.5) * dx
-		if cx < cfg.SeatStartX {
-			continue
-		}
-		for iy := 0; iy < s.ny; iy++ {
-			s.seatCells = append(s.seatCells, ix*s.ny+iy)
-			s.seatMask[ix*s.ny+iy] = true
+	dx := RoomDepth / float64(nx)
+	seat := make([]bool, nx)
+	for ix := range seat {
+		seat[ix] = (float64(ix)+0.5)*dx >= cfg.SeatStartX
+	}
+	classes := make(map[cellTerms]int)
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			i := ix*ny + iy
+			c := &s.cells[i]
+			for _, nb := range [...]struct {
+				ok    bool
+				jx, j int
+			}{
+				{ix > 0, ix - 1, i - ny},
+				{ix < nx-1, ix + 1, i + ny},
+				{iy > 0, ix, i - 1},
+				{iy < ny-1, ix, i + 1},
+			} {
+				if !nb.ok {
+					continue
+				}
+				k := mixBase
+				if seat[ix] != seat[nb.jx] {
+					k = mixStage
+				} else if seat[ix] {
+					k = mixSeat
+				}
+				c.nbr[c.edges], c.kind[c.edges] = int32(nb.j), k
+				c.edges++
+			}
+			if ix == 0 || ix == nx-1 || iy == 0 || iy == ny-1 {
+				c.env = cfg.EnvelopeUA / float64(perimeter)
+			}
+			// Front cells (ix == 0) are fed by the outlet covering
+			// their Y band.
+			c.outlet = -1
+			if ix == 0 {
+				c.outlet = iy * cfg.NumOutlets / ny
+				s.frontPerOutlet[c.outlet]++
+			}
+			if seat[ix] {
+				c.load += 2
+				s.seats++
+			}
+			if 5*ix >= 2*nx {
+				c.load++
+			}
+			id, ok := classes[c.cellTerms]
+			if !ok {
+				id = len(s.classRep)
+				classes[c.cellTerms] = id
+				s.classRep = append(s.classRep, i)
+			}
+			c.class = id
 		}
 	}
-	// Front cells (ix == 0) are fed by the outlet covering their Y band.
-	s.outletOf = make([]int, s.ny)
-	for iy := 0; iy < s.ny; iy++ {
-		s.outletOf[iy] = iy * cfg.NumOutlets / s.ny
-	}
+	s.classG = make([]float64, len(s.classRep))
+	s.classDecay = make([]float64, len(s.classRep))
 
 	for i := range s.temps {
 		s.temps[i] = cfg.InitialTemp
@@ -260,47 +333,49 @@ func (s *Simulator) Step(dt time.Duration, in Inputs) error {
 	return nil
 }
 
-// outletFlows sums the per-VAV flows into per-outlet totals (kg/s).
-func (s *Simulator) outletFlows(flows []float64) []float64 {
-	out := make([]float64, s.cfg.NumOutlets)
-	if len(flows) == 0 {
-		return out
-	}
+// outletFlows sums the per-VAV flows into s.flows, the per-outlet
+// totals (kg/s).
+func (s *Simulator) outletFlows(flows []float64) {
+	clear(s.flows)
 	for i, f := range flows {
 		o := i * s.cfg.NumOutlets / len(flows)
 		if o >= s.cfg.NumOutlets {
 			o = s.cfg.NumOutlets - 1
 		}
-		out[o] += f
+		s.flows[o] += f
 	}
-	return out
 }
 
-// substep advances one internal step of sub seconds.
+// substep advances one internal step of sub seconds. Each cell relaxes
+// toward the conductance-weighted equilibrium of its frozen
+// neighbourhood; the conductances and their decay factors are
+// computed once per class, then each cell sums its own weighted
+// temperatures.
 func (s *Simulator) substep(sub float64, in Inputs) {
 	cfg := &s.cfg
 	mix := cfg.MixingUA * s.driftFactor()
-	// Validate() guarantees boost >= 1 and stage in (0, 1]; the old
-	// silent clamps are gone.
-	boost := cfg.SeatMixBoost
-	stage := cfg.StageMixFactor
+	// Validate() guarantees boost >= 1 and stage in (0, 1].
+	mixBy := [...]float64{mixBase: mix, mixSeat: mix * cfg.SeatMixBoost, mixStage: mix * cfg.StageMixFactor}
 	groundTemp := cfg.GroundTemp + cfg.GroundTempDriftPerDay*s.elapsed/86400
 
-	flows := s.outletFlows(in.HVAC.Flows)
+	s.outletFlows(in.HVAC.Flows)
+	flows := s.flows
 	var totalFlow float64
 	for _, f := range flows {
 		totalFlow += f
 	}
 
 	// Supply plenums: first-order mixing of supply air into each
-	// outlet's delivery stream.
+	// outlet's delivery stream. Each outlet's flow splits over the
+	// front cells in its band.
 	for o := range s.outlet {
 		alpha := 1 - math.Exp(-sub*flows[o]/cfg.PlenumMass)
 		s.outlet[o] += alpha * (in.HVAC.SupplyTemp - s.outlet[o])
+		s.supplyUA[o] = flows[o] * airCp / s.frontPerOutlet[o]
 	}
 
 	// Per-cell loads.
-	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(len(s.seatCells))
+	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(s.seats)
 	var lightHeat float64
 	if in.LightsOn {
 		lightHeat = cfg.LightingPower / float64(len(s.temps))
@@ -326,93 +401,68 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 	}
 	// Two-zone standing oscillation: the front (supply-jet) half and
 	// the back (return-plume) half breathe in counter-phase, like a slow
-	// room-scale circulation cell. Every cell of a half sees the same
-	// load, so each is computed once per substep.
-	var wobFront, wobBack float64
+	// room-scale circulation cell. A cell's load depends only on
+	// whether it is a seat and which half it is in, so the four loads
+	// are computed once, indexed like cellStencil.load.
+	var wob [2]float64 // front, back
 	if wobAmp > 0 {
-		wobFront = wobAmp * math.Sin(wobPhase)
-		wobBack = wobAmp * math.Sin(wobPhase+math.Pi)
+		wob[0] = wobAmp * math.Sin(wobPhase)
+		wob[1] = wobAmp * math.Sin(wobPhase+math.Pi)
+	}
+	var load [4]float64
+	for z := range load {
+		load[z] = lightHeat
+		if z >= 2 {
+			load[z] += occHeat
+		}
+		if wobAmp > 0 {
+			load[z] += wob[z%2]
+		}
 	}
 
-	// Front-cell supply conductance: each outlet's flow splits over the
-	// front cells in its band.
-	frontPerOutlet := make([]int, cfg.NumOutlets)
-	for iy := 0; iy < s.ny; iy++ {
-		frontPerOutlet[s.outletOf[iy]]++
+	// Every cell of a class has the same total conductance, so its
+	// decay factor is one exp.
+	for c, rep := range s.classRep {
+		st := &s.cells[rep]
+		var g float64
+		for _, k := range st.kind[:st.edges] {
+			g += mixBy[k]
+		}
+		if st.env > 0 {
+			g += st.env
+		}
+		g += s.groundUA
+		if o := st.outlet; o >= 0 && flows[o] > 0 {
+			g += s.supplyUA[o]
+		}
+		s.classG[c] = g
+		if g > 0 {
+			s.classDecay[c] = math.Exp(-sub * g / s.cellCap)
+		}
 	}
 
+	// The cell update reads only the frozen `old` field (a
+	// Jacobi-style sweep) and relaxes exponentially, so it is
+	// unconditionally stable.
 	old := s.temps
 	next := s.scratch
-	nx, ny := s.nx, s.ny
-	// The cell update reads only the frozen `old` field (a Jacobi-style
-	// sweep). The grid's cells share a handful of distinct
-	// conductances, so the substep remembers their decay factors.
-	decay := expMemo{sub: sub, cap: s.cellCap}
-	for ix := 0; ix < nx; ix++ {
-		for iy := 0; iy < ny; iy++ {
-			i := ix*ny + iy
-			ti := old[i]
-			seatI := s.seatMask[i]
-			// Conductance-weighted equilibrium of the frozen neighborhood:
-			// unconditionally stable exponential relaxation toward it. An
-			// edge between two seating cells carries the boosted mixing
-			// conductance (occupant-churned zone); an edge crossing the
-			// stage/seating boundary carries the attenuated one (the
-			// supply jets short-circuit to the stage returns, so the
-			// stage microclimate couples only weakly into the seats).
-			var g, gt float64
-			edge := func(j int) {
-				m := mix
-				if seatI == s.seatMask[j] {
-					if seatI {
-						m *= boost
-					}
-				} else {
-					m *= stage
-				}
-				g += m
-				gt += m * old[j]
-			}
-			if ix > 0 {
-				edge(i - ny)
-			}
-			if ix < nx-1 {
-				edge(i + ny)
-			}
-			if iy > 0 {
-				edge(i - 1)
-			}
-			if iy < ny-1 {
-				edge(i + 1)
-			}
-			if e := s.envUA[i]; e > 0 {
-				g += e
-				gt += e * in.Ambient
-			}
-			g += s.groundUA
-			gt += s.groundUA * groundTemp
-
-			load := lightHeat
-			if seatI {
-				load += occHeat
-			}
-			if wobAmp > 0 {
-				if 5*ix >= 2*nx {
-					load += wobBack
-				} else {
-					load += wobFront
-				}
-			}
-			if ix == 0 {
-				o := s.outletOf[iy]
-				if flows[o] > 0 {
-					gs := flows[o] * airCp / float64(frontPerOutlet[o])
-					g += gs
-					gt += gs * s.outlet[o]
-				}
-			}
-
-			next[i] = decay.relax(ti, g, gt, load)
+	for i := range s.cells {
+		st := &s.cells[i]
+		var gt float64
+		for e, j := range st.nbr[:st.edges] {
+			gt += mixBy[st.kind[e]] * old[j]
+		}
+		if st.env > 0 {
+			gt += st.env * in.Ambient
+		}
+		gt += s.groundUA * groundTemp
+		if o := st.outlet; o >= 0 && flows[o] > 0 {
+			gt += s.supplyUA[o] * s.outlet[o]
+		}
+		if g := s.classG[st.class]; g > 0 {
+			next[i] = relaxBy(old[i], g, gt, load[st.load], s.classDecay[st.class])
+		} else {
+			next[i] = relax(old[i], g, gt, load[st.load], sub, s.cellCap)
 		}
 	}
 	s.temps, s.scratch = next, old
@@ -436,43 +486,6 @@ func relaxBy(ti, g, gt, load, decay float64) float64 {
 	return teq + (ti-teq)*decay
 }
 
-// expMemoSize bounds expMemo; the paper's 10x6 grid has 9 distinct
-// cell conductances per substep.
-const expMemoSize = 16
-
-// expMemo computes relax for a fixed substep and heat capacity,
-// remembering math.Exp(-sub*g/cap) for the first expMemoSize distinct
-// conductances g it sees and computing the rest afresh. Its results
-// equal relax's bit for bit.
-type expMemo struct {
-	sub, cap float64
-	n        int
-	g, decay [expMemoSize]float64
-}
-
-// relax is relax(ti, g, gt, load, m.sub, m.cap).
-func (m *expMemo) relax(ti, g, gt, load float64) float64 {
-	if g <= 0 {
-		return relax(ti, g, gt, load, m.sub, m.cap)
-	}
-	return relaxBy(ti, g, gt, load, m.exp(g))
-}
-
-// exp returns math.Exp(-m.sub*g/m.cap).
-func (m *expMemo) exp(g float64) float64 {
-	for k, v := range m.g[:m.n] {
-		if v == g {
-			return m.decay[k]
-		}
-	}
-	d := math.Exp(-m.sub * g / m.cap)
-	if m.n < expMemoSize {
-		m.g[m.n], m.decay[m.n] = g, d
-		m.n++
-	}
-	return d
-}
-
 // driftFactor is the seasonal mixing drift multiplier after the
 // elapsed simulated time.
 func (s *Simulator) driftFactor() float64 {
@@ -480,7 +493,7 @@ func (s *Simulator) driftFactor() float64 {
 		return 1
 	}
 	days := s.elapsed / 86400
-	return math.Exp(days * math.Log1p(s.cfg.MixDriftPerDay))
+	return math.Exp(days * s.logDrift)
 }
 
 // cellIndexFrac maps a point to fractional cell-grid coordinates,

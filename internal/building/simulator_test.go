@@ -1,8 +1,6 @@
 package building
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -116,52 +114,5 @@ func TestAuditoriumSensorsLayout(t *testing.T) {
 	}
 	if thermostats == 0 {
 		t.Error("no thermostat sensors in the layout")
-	}
-}
-
-// TestExpMemoMatchesRelax pins the auditorium's memoized cell update to
-// relax, which office and residence still call: every call must return
-// the same float64 for conductances the memo has seen, for more
-// distinct conductances than it holds, and for the g <= 0 branch.
-func TestExpMemoMatchesRelax(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const sub, cellCap = 10.0, 2.6e5
-	distinct := func(n int) []float64 {
-		gs := make([]float64, n)
-		for k := range gs {
-			gs[k] = 100 + 5000*rng.Float64()
-		}
-		return gs
-	}
-	few, many := distinct(9), distinct(3*expMemoSize)
-	var repeated, overflow, mixed []float64
-	for k := 0; k < 20; k++ {
-		repeated = append(repeated, few...)
-		overflow = append(overflow, many...)
-		mixed = append(mixed, few[k%len(few)], 0, math.Copysign(0, -1), -rng.Float64(), many[k])
-	}
-	for name, gs := range map[string][]float64{
-		"repeated": repeated,
-		"overflow": overflow,
-		"mixed":    mixed,
-	} {
-		m := expMemo{sub: sub, cap: cellCap}
-		for k, g := range gs {
-			ti := 15 + 10*rng.Float64()
-			gt := g * (15 + 10*rng.Float64())
-			load := 2000 * rng.NormFloat64()
-			got := m.relax(ti, g, gt, load)
-			want := relax(ti, g, gt, load, sub, cellCap)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s call %d (g=%v): memo %v (%x), relax %v (%x)",
-					name, k, g, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-		}
-		if name == "repeated" && m.n != len(few) {
-			t.Errorf("repeated: memo holds %d conductances, want %d", m.n, len(few))
-		}
-		if name == "overflow" && m.n != expMemoSize {
-			t.Errorf("overflow: memo holds %d conductances, want %d", m.n, expMemoSize)
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"auditherm/internal/artifact"
 	"auditherm/internal/building"
 	"auditherm/internal/pipeline"
+	"auditherm/internal/sysid"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -123,6 +125,35 @@ func TestFleetSmallParallel(t *testing.T) {
 	b, _ := runFleet(t, cfg, t.TempDir(), 8)
 	if string(a) != string(b) {
 		t.Fatal("two cold 8-worker runs produced different reports")
+	}
+}
+
+// TestFleetShortDataIsInsufficientData pins the short-data failure's
+// type: the seed-17 fleet's residence b0002 has only 3 usable occupied
+// windows, and the error that aborts the run must say so through
+// sysid.ErrInsufficientData, not just in its text.
+func TestFleetShortDataIsInsufficientData(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.N = 3
+	cfg.Seed = 17
+	cfg.Days = 4
+	cfg.ControlDays = 1
+	eng, err := pipeline.New(pipeline.Options{CacheDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	_, err = Run(context.Background(), eng, cfg)
+	if err == nil {
+		t.Fatal("seed-17 fleet completed; want b0002's short-data failure")
+	}
+	if !errors.Is(err, sysid.ErrInsufficientData) {
+		t.Fatalf("err = %v, want one wrapping sysid.ErrInsufficientData", err)
+	}
+	for _, want := range []string{"b0002/sysid", "only 3 usable occupied windows; need at least 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to mention %q", err, want)
+		}
 	}
 }
 

@@ -196,6 +196,7 @@ func spectralRadius(top *Dense, iters int) (float64, error) {
 	if mx == 0 {
 		return 0, nil
 	}
+	spectralRadiusEstimatesTotal.Inc()
 	scale, unit := 1.0, 1.0
 	if mx > spectralScaleFloor {
 		// Iterate on a/mx (entries <= 1, norms <= n: no overflow) and

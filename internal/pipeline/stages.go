@@ -146,7 +146,8 @@ func splitUsable(f *timeseries.Frame, cfg IdentifyConfig) (temps, inputs *mat.De
 		minW = 4
 	}
 	if len(usable) < minW {
-		err = fmt.Errorf("pipeline: only %d usable %v windows; need at least %d", len(usable), cfg.Mode, minW)
+		err = fmt.Errorf("pipeline: only %d usable %v windows; need at least %d: %w",
+			len(usable), cfg.Mode, minW, sysid.ErrInsufficientData)
 		return
 	}
 	train, valid = dataset.SplitWindows(usable)

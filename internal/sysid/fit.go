@@ -82,7 +82,8 @@ type Options struct {
 	// segment needs to contribute equations. Zero selects order+2.
 	MinSegment int
 	// StabilityRadius, when positive, projects the identified dynamics
-	// to at most this spectral radius and refits the input matrix B on
+	// to at most this spectral radius (within a relative 1e-9 of
+	// rounding slack) and refits the input matrix B on
 	// the residuals with the dynamics held fixed. One-step least
 	// squares routinely returns marginally unstable thermal models
 	// (radius slightly above 1) whose free-run predictions diverge
@@ -279,22 +280,22 @@ func fitMasked(d Data, windows []timeseries.Segment, order Order, opts Options, 
 // radius.
 var ErrUnstable = errors.New("sysid: dynamics unstable after projection")
 
-// stabilizeSlack is the relative tolerance of the post-projection
-// verification: floating-point rounding can leave the radius a few
-// ulps above the target after an exact rescale.
+// stabilizeSlack is the relative tolerance of the stability check:
+// floating-point rounding can leave the radius a few ulps above the
+// target after an exact rescale.
 const stabilizeSlack = 1e-9
 
 // stabilize shrinks the dynamics to the target spectral radius and
 // refits B on the residuals with the dynamics held fixed.
 //
-// The shrink loop is followed by a hard verification: previously the
-// loop could spend its full iteration budget (or be fed a silently
-// wrong radius estimate, e.g. the pre-fix overflow collapse in
-// mat.SpectralRadius) and return nil with the dynamics still outside
-// the stability region, handing callers a model whose free-run
-// predictions diverge. Now a leftover violation gets one final hard
-// projection and, if even that cannot land inside the radius, a
-// wrapped ErrUnstable instead of a silent bad model.
+// One predicate decides stability everywhere: an estimate within
+// stabilizeSlack of StabilityRadius is accepted by the early return,
+// ends the shrink loop at the first estimate that meets it, and passes
+// the final check. A loop that spends its iteration budget (or is fed
+// a wrong radius estimate) with the dynamics still outside the target
+// gets one last hard projection; if even that cannot land inside the
+// radius, stabilize returns a wrapped ErrUnstable rather than a model
+// whose free-run predictions diverge.
 //
 // The radius last computed here describes the final A and A2 (the B
 // refit does not enter the companion matrix), so the model records it
@@ -304,7 +305,8 @@ func (m *Model) stabilize(eqs *equations, opts Options) error {
 	if err != nil {
 		return fmt.Errorf("sysid: stability check: %w", err)
 	}
-	if rho <= opts.StabilityRadius {
+	limit := opts.StabilityRadius * (1 + stabilizeSlack)
+	if rho <= limit {
 		m.rho = rho
 		return nil
 	}
@@ -319,18 +321,18 @@ func (m *Model) stabilize(eqs *equations, opts Options) error {
 		}
 		return nil
 	}
-	for iter := 0; iter < 100 && rho > opts.StabilityRadius; iter++ {
+	for iter := 0; iter < 100 && rho > limit; iter++ {
 		if err := shrink(opts.StabilityRadius / rho); err != nil {
 			return err
 		}
 	}
-	if math.IsNaN(rho) || rho > opts.StabilityRadius*(1+stabilizeSlack) {
+	if math.IsNaN(rho) || rho > limit {
 		// Iteration cap exhausted with the radius still outside the
 		// target: apply one last hard projection and re-verify.
 		if err := shrink(opts.StabilityRadius / rho); err != nil {
 			return err
 		}
-		if math.IsNaN(rho) || rho > opts.StabilityRadius*(1+stabilizeSlack) {
+		if math.IsNaN(rho) || rho > limit {
 			return fmt.Errorf("sysid: spectral radius %.6g above target %v after projection: %w",
 				rho, opts.StabilityRadius, ErrUnstable)
 		}

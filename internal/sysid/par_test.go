@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"auditherm/internal/mat"
+	"auditherm/internal/obs"
 	"auditherm/internal/par"
 	"auditherm/internal/timeseries"
 )
@@ -222,4 +223,66 @@ func TestStabilizeRejectsNonFinite(t *testing.T) {
 	if !errors.Is(err, mat.ErrNonFinite) {
 		t.Fatalf("stabilize on NaN dynamics: err = %v, want mat.ErrNonFinite", err)
 	}
+}
+
+// TestStabilizeStopsInsideSlack pins the shrink loop of a crawling
+// second-order fit. Scaling A and A2 by s does not scale the companion
+// radius by s (its identity rows stay), so each shrink lands a little
+// above the target and the estimates close in on it from above. The
+// loop must stop at the first estimate within stabilizeSlack of the
+// target, record that estimate, and take exactly the estimates the
+// replay below takes.
+func TestStabilizeStopsInsideSlack(t *testing.T) {
+	newModel := func() *Model {
+		return &Model{
+			Order: SecondOrder,
+			A:     mat.NewDenseData(2, 2, []float64{0.56, -0.07, 0, 1.06}),
+			A2:    mat.NewDenseData(2, 2, []float64{-0.28, -0.04, -0.07, -0.03}),
+			B:     mat.NewDense(2, 2),
+		}
+	}
+	opts := DefaultOptions()
+	limit := opts.StabilityRadius * (1 + stabilizeSlack)
+
+	// Replay: shrink until an estimate meets the acceptance predicate.
+	replay := newModel()
+	var rhos []float64
+	for {
+		rho, err := replay.spectralRadius()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhos = append(rhos, rho)
+		if rho <= limit {
+			break
+		}
+		s := opts.StabilityRadius / rho
+		replay.A, replay.A2 = replay.A.Scale(s), replay.A2.Scale(s)
+	}
+	last := rhos[len(rhos)-1]
+	if len(rhos) < 4 || last <= opts.StabilityRadius {
+		t.Fatalf("setup: %d estimates ending at %v; want a crawl of at least 4 ending inside the slack above %v",
+			len(rhos), last, opts.StabilityRadius)
+	}
+
+	eqs := &equations{}
+	for r := 0; r < 4; r++ {
+		eqs.tempFeat = append(eqs.tempFeat, []float64{1 + 0.1*float64(r), 2 - 0.1*float64(r), 0.1, -0.05 * float64(r)})
+		eqs.inputFeat = append(eqs.inputFeat, []float64{0.5 * float64(r), 1 - 0.2*float64(r)})
+		eqs.targets = append(eqs.targets, []float64{0.3, 0.4})
+	}
+	m := newModel()
+	before := obs.Default.CounterValue("auditherm_mat_spectral_radius_estimates_total")
+	if err := m.stabilize(eqs, opts); err != nil {
+		t.Fatal(err)
+	}
+	taken := obs.Default.CounterValue("auditherm_mat_spectral_radius_estimates_total") - before
+	if taken != int64(len(rhos)) {
+		t.Errorf("stabilize took %d radius estimates, want %d", taken, len(rhos))
+	}
+	if m.rho != last {
+		t.Errorf("recorded radius %v, want the first estimate inside the slack, %v", m.rho, last)
+	}
+	denseBitEqual(t, "A", m.A, replay.A)
+	denseBitEqual(t, "A2", m.A2, replay.A2)
 }
