@@ -4,12 +4,19 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race flake fuzz bench bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet cross build examples test race flake fuzz bench bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
-check: vet build examples race test
+check: vet cross build examples race test
 
 vet:
 	$(GO) vet ./...
+
+# The spectral-radius kernel has an AVX2 assembly file for amd64 and a
+# portable Go kernel for every other architecture; vetting an arm64
+# build keeps the portable path compiling (and its tests type-checked)
+# on amd64 hosts. On amd64, vet's asmdecl pass checks the assembly.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -69,12 +76,17 @@ flake:
 # Native Go fuzz targets, 10s each (go test -fuzz takes one target per
 # run). `go test ./...` already replays their checked-in seed
 # corpora under testdata/fuzz; this target searches for new inputs.
-# FuzzCompanionSpectralRadius: the companion spectral-radius kernel
-# must return SpectralRadius's bits and error class on the explicit
-# companion, for any p x 2p top of arbitrary float64 bits.
-# FuzzModelCodecDecode / FuzzFrameCodecDecode: any bytes either fail
-# to decode or decode to a value whose encoding is a fixed point
-# (Encode -> Decode -> Encode gives the same bytes); nothing panics.
+# FuzzCompanionSpectralRadius: CompanionSpectralRadius, and the
+# portable kernel where the host runs AVX2, must return the scalar
+# oracle's bits and error class on the explicit companion, for any
+# p x 2p top (p in 1..12) of arbitrary float64 bits.
+# FuzzModelCodecDecode / FuzzFrameCodecDecode / FuzzDatasetCodecDecode:
+# any bytes either fail to decode or decode to a value whose encoding
+# is a fixed point (Encode -> Decode -> Encode gives the same bytes);
+# nothing panics.
+# FuzzEncodeEnvelope: for any codec name, version, payload string and
+# float, the artifact envelope written directly is byte for byte what
+# json.Encoder writes for it, or both fail.
 # FuzzParseTraceRef: an accepted X-Auditherm-Trace ref has a 1-64-byte
 # printable-ASCII run id and re-parses from its wire form to itself.
 # FuzzTraceEncode: for any span name, attribute, event and error
@@ -93,6 +105,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzDatasetCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeEnvelope$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceRef$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceEncode$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset

@@ -33,14 +33,30 @@ type envelope struct {
 	Data    json.RawMessage `json:"data"`
 }
 
-// encodeEnvelope writes {codec, version, data} as deterministic JSON.
+// encodeEnvelope writes {codec, version, data} as deterministic JSON,
+// followed by a newline. These are the bytes a json.Encoder writes for
+// an envelope holding the marshaled payload, without its second pass
+// over them: json.Marshal's output is already compact and already
+// escapes <, >, &, U+2028 and U+2029, which is all that pass would
+// change. The payload goes to w as json.Marshal returned it, between
+// the envelope's head and its closing brace, so it is not copied.
 func encodeEnvelope(w io.Writer, name string, version int, data any) error {
 	raw, err := json.Marshal(data)
 	if err != nil {
 		return fmt.Errorf("artifact: encoding %s payload: %w", name, err)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(envelope{Codec: name, Version: version, Data: raw})
+	codec, err := json.Marshal(name)
+	if err != nil {
+		return fmt.Errorf("artifact: encoding codec name %q: %w", name, err)
+	}
+	head := append(append([]byte(`{"codec":`), codec...), `,"version":`...)
+	head = append(strconv.AppendInt(head, int64(version), 10), `,"data":`...)
+	for _, b := range [][]byte{head, raw, []byte("}\n")} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeEnvelope reads an envelope and checks its identity.

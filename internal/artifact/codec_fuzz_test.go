@@ -2,6 +2,8 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -22,6 +24,55 @@ func FuzzModelCodecDecode(f *testing.F) {
 func FuzzFrameCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFixedPoint(t, FrameCodec, data)
+	})
+}
+
+// FuzzDatasetCodecDecode is FuzzModelCodecDecode for datasets. The
+// seed corpus holds a small hand-written dataset: one channel, a few
+// cells including a missing one, one event and one outage.
+func FuzzDatasetCodecDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFixedPoint(t, DatasetCodec, data)
+	})
+}
+
+// encodeEnvelopeRef is how encodeEnvelope wrote an envelope before it
+// wrote the bytes directly: a json.Encoder over the envelope struct,
+// which compacts and escapes the marshaled payload a second time.
+func encodeEnvelopeRef(w io.Writer, name string, version int, data any) error {
+	raw, err := json.Marshal(data)
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(w).Encode(envelope{Codec: name, Version: version, Data: raw})
+}
+
+// FuzzEncodeEnvelope requires encodeEnvelope to write encodeEnvelopeRef's
+// bytes, or to fail where it fails, for any codec name, version, payload
+// string and float: HTML characters, U+2028 and U+2029 and invalid UTF-8
+// in either string, and NaN and ±Inf both as a Float and as a plain
+// float64, which json.Marshal rejects.
+func FuzzEncodeEnvelope(f *testing.F) {
+	type payload struct {
+		S     string   `json:"s"`
+		Names []string `json:"names"`
+		F     Float    `json:"f"`
+		G     float64  `json:"g"`
+	}
+	f.Fuzz(func(t *testing.T, name string, version int, s string, x float64) {
+		check := func(v payload) {
+			var got, want bytes.Buffer
+			err := encodeEnvelope(&got, name, version, v)
+			wantErr := encodeEnvelopeRef(&want, name, version, v)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("err = %v, reference err = %v", err, wantErr)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("envelope bytes differ:\n%q\n%q", got.Bytes(), want.Bytes())
+			}
+		}
+		check(payload{S: s, Names: []string{name, s}, F: Float(x), G: x})
+		check(payload{S: s, Names: []string{name, s}, F: Float(x)})
 	})
 }
 

@@ -149,7 +149,7 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 	if m != n {
 		return 0, fmt.Errorf("mat: spectral radius of %dx%d matrix: %w", m, n, ErrShape)
 	}
-	return spectralRadius(a, iters)
+	return spectralRadius(a, iters, lanes)
 }
 
 // CompanionSpectralRadius returns SpectralRadius of the 2p x 2p block
@@ -161,7 +161,7 @@ func CompanionSpectralRadius(top *Dense, iters int) (float64, error) {
 	if n != 2*p {
 		return 0, fmt.Errorf("mat: companion spectral radius of %dx%d top block: %w", p, n, ErrShape)
 	}
-	return spectralRadius(top, iters)
+	return spectralRadius(top, iters, lanes)
 }
 
 // spectralRadius estimates the spectral radius of the n x n matrix
@@ -170,8 +170,9 @@ func CompanionSpectralRadius(top *Dense, iters int) (float64, error) {
 // Those implicit rows count toward the max-abs entry and the rescale
 // like stored ones. Their products are exact copies, so skipping their
 // zero terms changes at most the sign of a zero, and every later step
-// depends only on magnitudes.
-func spectralRadius(top *Dense, iters int) (float64, error) {
+// depends only on magnitudes. The lane kernel k does the iterating;
+// every kernel returns the same float64.
+func spectralRadius(top *Dense, iters int, k laneKernel) (float64, error) {
 	m, n := top.Dims()
 	if n == 0 {
 		return 0, nil
@@ -209,87 +210,50 @@ func spectralRadius(top *Dense, iters int) (float64, error) {
 	}
 	// Deterministic restart vectors: unit basis directions plus the
 	// all-ones vector to escape unlucky invariant subspaces. They
-	// advance spectralLanes at a time, so each pass over the rows feeds
-	// every lane's product; lanes past the last restart stay zero and
-	// never count.
-	buf := make([]float64, 2*spectralLanes*n)
-	var x, y [spectralLanes][]float64
-	for l := range x {
-		x[l] = buf[2*l*n : (2*l+1)*n]
-		y[l] = buf[(2*l+1)*n : (2*l+2)*n]
-	}
+	// advance k.width at a time, so each pass over the rows feeds every
+	// lane's product; lanes past the last restart start at zero, stay
+	// zero and never count, as does a lane once its norm is 0.
+	w, q := k.width, k.width/4
+	buf := make([][4]float64, (2*n+1)*q)
+	x, y, lam := buf[:n*q], buf[n*q:2*n*q], buf[2*n*q:]
 	var best float64
-	for r0 := 0; r0 <= n; r0 += spectralLanes {
-		var lam [spectralLanes]float64
-		var live [spectralLanes]bool
-		for l := range x {
-			r := r0 + l
-			clear(x[l])
-			switch {
+	for r0 := 0; r0 <= n; r0 += w {
+		clear(x)
+		for l := 0; l < w; l++ {
+			switch r := r0 + l; {
 			case r < n:
-				x[l][r] = 1
+				x[r*q+l/4][l%4] = 1
 			case r == n:
-				for i := range x[l] {
-					x[l][i] = 1
+				for j := 0; j < n; j++ {
+					x[j*q+l/4][l%4] = 1
 				}
-			}
-			live[l] = r <= n
-		}
-		for it := 0; it < iters && live != [spectralLanes]bool{}; it++ {
-			mulVecLanes(top, unit, &x, &y)
-			for l := range x {
-				if !live[l] {
-					continue
-				}
-				ny := Norm2(y[l])
-				if ny == 0 {
-					lam[l] = 0
-					live[l] = false
-					continue
-				}
-				lam[l] = ny
-				for i := range y[l] {
-					y[l][i] /= ny
-				}
-				x[l], y[l] = y[l], x[l]
 			}
 		}
-		for _, v := range lam {
-			if v > best {
-				best = v
+		for it := 0; it < iters; it++ {
+			k.mulVec(top.data, m, n, unit, x, y)
+			k.normalize(y, n, lam)
+			x, y = y, x
+			if largest(lam) == 0 {
+				break // no lane is live
 			}
+		}
+		if v := largest(lam); v > best {
+			best = v
 		}
 	}
 	return scale * best, nil
 }
 
-// spectralLanes is how many power-iteration restarts SpectralRadius
-// advances per pass over the matrix; mulVecLanes is written out for
-// exactly this many.
-const spectralLanes = 4
-
-// mulVecLanes sets y[l] = a*x[l] for every lane in one pass over the
-// rows, where a is top stacked over the implicit rows [unit*I 0] that
-// fill it out to square. Each stored row is summed in Dot's order, so
-// it equals the corresponding MulVec element bit for bit; the lanes'
-// independent sums keep the floating-point units busy where one Dot
-// stalls on its own running sum.
-func mulVecLanes(top *Dense, unit float64, x, y *[spectralLanes][]float64) {
-	n := top.cols
-	for i := 0; i < top.rows; i++ {
-		row := top.data[i*n : (i+1)*n]
-		x0, x1, x2, x3 := x[0][:len(row)], x[1][:len(row)], x[2][:len(row)], x[3][:len(row)]
-		var s0, s1, s2, s3 float64
-		for j, v := range row {
-			s0 += v * x0[j]
-			s1 += v * x1[j]
-			s2 += v * x2[j]
-			s3 += v * x3[j]
+// largest returns the largest of the lanes' norms, 0 when no lane is
+// live.
+func largest(lam [][4]float64) float64 {
+	var mx float64
+	for _, quad := range lam {
+		for _, v := range quad {
+			if v > mx {
+				mx = v
+			}
 		}
-		y[0][i], y[1][i], y[2][i], y[3][i] = s0, s1, s2, s3
 	}
-	for i := top.rows; i < n; i++ {
-		k := i - top.rows
-		y[0][i], y[1][i], y[2][i], y[3][i] = unit*x[0][k], unit*x[1][k], unit*x[2][k], unit*x[3][k]
-	}
+	return mx
 }

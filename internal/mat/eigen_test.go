@@ -444,16 +444,18 @@ func TestSpectralRadiusMatchesReference(t *testing.T) {
 }
 
 // FuzzCompanionSpectralRadius checks CompanionSpectralRadius against
-// SpectralRadius on the explicit companion for arbitrary float64 bit
-// patterns. The first byte picks p in [1, 8]; each following 8 bytes,
-// little-endian, are one entry of the p x 2p top block, row by row,
-// with missing entries zero.
+// the scalar oracle spectralRadiusRef on the explicit companion, for
+// arbitrary float64 bit patterns; where the host runs a faster kernel,
+// it checks the portable kernel against the oracle too. The first byte
+// picks p in [1, 12], so the 2p+1 restarts fill one or two 16-lane
+// passes; each following 8 bytes, little-endian, are one entry of the
+// p x 2p top block, row by row, with missing entries zero.
 func FuzzCompanionSpectralRadius(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		p := 1 + int(data[0])%8
+		p := 1 + int(data[0])%12
 		top := NewDense(p, 2*p)
 		raw := data[1:]
 		for i := 0; i < p; i++ {
@@ -464,9 +466,14 @@ func FuzzCompanionSpectralRadius(f *testing.F) {
 				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
 			}
 		}
+		name := fmt.Sprintf("p=%d top=\n%v", p, top)
+		want, wantErr := spectralRadiusRef(companion(top), 300)
 		got, err := CompanionSpectralRadius(top, 300)
-		want, wantErr := SpectralRadius(companion(top), 300)
-		checkSameEstimate(t, fmt.Sprintf("p=%d top=\n%v", p, top), got, err, want, wantErr)
+		checkSameEstimate(t, name, got, err, want, wantErr)
+		if lanes.width != portableLanes.width {
+			got, err := spectralRadius(top, 300, portableLanes)
+			checkSameEstimate(t, name+" (portable kernel)", got, err, want, wantErr)
+		}
 	})
 }
 
@@ -491,24 +498,26 @@ func TestSpectralRadiusAllocsFlat(t *testing.T) {
 // second-order model (the paper auditorium's size) at the 300
 // iterations Model.SpectralRadius uses: on the explicit 54 x 54
 // companion, and with CompanionSpectralRadius on its 27 x 54 top block
-// row, as sysid computes it.
+// row, as sysid computes it, with the kernel this host runs and with
+// the portable kernel.
 func BenchmarkSpectralRadius(b *testing.B) {
 	top := thermalDynamics(rand.New(rand.NewSource(27)), 27, 2)
 	a := companion(top)
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SpectralRadius(a, 300); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		f    func() (float64, error)
+	}{
+		{"dense", func() (float64, error) { return SpectralRadius(a, 300) }},
+		{"companion", func() (float64, error) { return CompanionSpectralRadius(top, 300) }},
+		{"portable", func() (float64, error) { return spectralRadius(top, 300, portableLanes) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.f(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("companion", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := CompanionSpectralRadius(top, 300); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
