@@ -101,6 +101,11 @@ flake:
 # FuzzSpecJSON: any JSON that decodes to a building.Spec either fails
 # Validate or builds with New and takes one 10-minute Step without
 # panicking, at finite temperatures.
+# FuzzPMV: any comfort.Conditions that Validate accepts gives PMV the
+# bits and error of the math.Pow reference it replaced.
+# FuzzServeQuery: for any raw query, every serve endpoint's parser
+# either errors or returns parameters inside their bounds (day counts,
+# seeds, hours, a positive horizon, finite floats), and never panics.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
@@ -112,6 +117,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzAuditoriumSubstep$$' -fuzztime 10s ./internal/building
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/building
+	$(GO) test -run '^$$' -fuzz '^FuzzPMV$$' -fuzztime 10s ./internal/comfort
+	$(GO) test -run '^$$' -fuzz '^FuzzServeQuery$$' -fuzztime 10s ./internal/serve
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

@@ -241,19 +241,8 @@ func (o *Office) NumZones() int { return o.zx * o.zy }
 
 // Step advances the office by dt under the given inputs.
 func (o *Office) Step(dt time.Duration, in Inputs) error {
-	if dt <= 0 {
-		return fmt.Errorf("building: step dt %v must be positive", dt)
-	}
-	if in.Occupants < 0 {
-		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
-	}
-	for _, f := range in.HVAC.Flows {
-		if f < 0 || math.IsNaN(f) {
-			return fmt.Errorf("building: invalid VAV flow %v", f)
-		}
-	}
-	if math.IsNaN(in.Ambient) {
-		return fmt.Errorf("building: ambient temperature is NaN")
+	if err := checkStep(dt, in); err != nil {
+		return err
 	}
 	total := dt.Seconds()
 	steps := int(math.Ceil(total / o.cfg.MaxStep.Seconds()))

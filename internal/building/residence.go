@@ -221,19 +221,8 @@ func (r *Residence) solarShape() float64 {
 
 // Step advances the residence by dt under the given inputs.
 func (r *Residence) Step(dt time.Duration, in Inputs) error {
-	if dt <= 0 {
-		return fmt.Errorf("building: step dt %v must be positive", dt)
-	}
-	if in.Occupants < 0 {
-		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
-	}
-	for _, f := range in.HVAC.Flows {
-		if f < 0 || math.IsNaN(f) {
-			return fmt.Errorf("building: invalid VAV flow %v", f)
-		}
-	}
-	if math.IsNaN(in.Ambient) {
-		return fmt.Errorf("building: ambient temperature is NaN")
+	if err := checkStep(dt, in); err != nil {
+		return err
 	}
 	total := dt.Seconds()
 	steps := int(math.Ceil(total / r.cfg.MaxStep.Seconds()))

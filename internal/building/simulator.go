@@ -134,6 +134,32 @@ type Inputs struct {
 	Ambient float64
 }
 
+// checkStep is the input check every archetype's Step makes before it
+// touches its state: dt must be positive, the occupant count
+// non-negative, every VAV flow finite and non-negative, and the ambient
+// and supply temperatures finite. A non-finite input would otherwise
+// spread through the substep into every cell.
+func checkStep(dt time.Duration, in Inputs) error {
+	if dt <= 0 {
+		return fmt.Errorf("building: step dt %v must be positive", dt)
+	}
+	if in.Occupants < 0 {
+		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
+	}
+	for _, f := range in.HVAC.Flows {
+		if !(f >= 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("building: invalid VAV flow %v", f)
+		}
+	}
+	if math.IsNaN(in.Ambient) || math.IsInf(in.Ambient, 0) {
+		return fmt.Errorf("building: ambient temperature %v is not finite", in.Ambient)
+	}
+	if math.IsNaN(in.HVAC.SupplyTemp) || math.IsInf(in.HVAC.SupplyTemp, 0) {
+		return fmt.Errorf("building: supply temperature %v is not finite", in.HVAC.SupplyTemp)
+	}
+	return nil
+}
+
 // Simulator is the zonal auditorium model. It is advanced by Step and
 // probed with TemperatureAt.
 type Simulator struct {
@@ -145,13 +171,13 @@ type Simulator struct {
 	outlet  []float64 // per-outlet plenum temperatures
 
 	// Static parameters, compiled by NewSimulator.
-	cellCap        float64       // J/K per cell
-	groundUA       float64       // W/K to ground per cell
-	seats          int           // cells receiving occupant heat
-	logDrift       float64       // math.Log1p(MixDriftPerDay)
-	frontPerOutlet []float64     // front cells fed by each outlet
-	cells          []cellStencil // per-cell update, row-major
-	classRep       []int         // one cell of each conductance class
+	cellCap        float64     // J/K per cell
+	groundUA       float64     // W/K to ground per cell
+	seats          int         // cells receiving occupant heat
+	logDrift       float64     // math.Log1p(MixDriftPerDay)
+	frontPerOutlet []float64   // front cells fed by each outlet
+	classes        []cellTerms // each conductance class's terms
+	groups         []cellGroup // the cells of each (class, load) pair
 
 	// Per-substep scratch, reused so a Step allocates nothing.
 	flows      []float64 // per-outlet supply flow, kg/s
@@ -184,16 +210,19 @@ type cellTerms struct {
 	outlet int        // supply outlet feeding a front cell; -1 elsewhere
 }
 
-// cellStencil is one cell's compiled update: the neighbours and terms
-// whose conductance-weighted temperatures it relaxes toward, in the
-// order substep sums them.
-type cellStencil struct {
-	cellTerms
-	nbr   [4]int32 // neighbour cells, edge order ix-1, ix+1, iy-1, iy+1
-	class int      // the cell's conductance class
-	// load picks the cell's heat load: 2 if it is a seat (occupant
-	// heat) plus 1 if it is in the return-plume half (5*ix >= 2*nx).
-	load int
+// cellGroup is the compiled update of every cell in one conductance
+// class with one heat load. Those cells share every coefficient and
+// constant term of the update, so a substep computes them once per
+// group and then sums only each cell's neighbour temperatures.
+type cellGroup struct {
+	class int // the cells' conductance class, an index into classes
+	// load picks the cells' heat load: 2 if they are seats (occupant
+	// heat) plus 1 if they are in the return-plume half (5*ix >= 2*nx).
+	load  int
+	cells []int32 // the group's cells, row-major order
+	// nbr holds each cell's neighbours in edge order ix-1, ix+1, iy-1,
+	// iy+1: the class's edge count per cell, cells in order.
+	nbr []int32
 }
 
 // NewSimulator validates cfg and returns a simulator at the initial
@@ -217,7 +246,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		outlet:         make([]float64, cfg.NumOutlets),
 		logDrift:       math.Log1p(cfg.MixDriftPerDay),
 		frontPerOutlet: make([]float64, cfg.NumOutlets),
-		cells:          make([]cellStencil, n),
 		flows:          make([]float64, cfg.NumOutlets),
 		supplyUA:       make([]float64, cfg.NumOutlets),
 	}
@@ -234,11 +262,13 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	for ix := range seat {
 		seat[ix] = (float64(ix)+0.5)*dx >= cfg.SeatStartX
 	}
-	classes := make(map[cellTerms]int)
+	classOf := make(map[cellTerms]int)
+	groupOf := make(map[[2]int]int)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			i := ix*ny + iy
-			c := &s.cells[i]
+			var c cellTerms
+			var nbr [4]int32
 			for _, nb := range [...]struct {
 				ok    bool
 				jx, j int
@@ -257,7 +287,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 				} else if seat[ix] {
 					k = mixSeat
 				}
-				c.nbr[c.edges], c.kind[c.edges] = int32(nb.j), k
+				nbr[c.edges], c.kind[c.edges] = int32(nb.j), k
 				c.edges++
 			}
 			if ix == 0 || ix == nx-1 || iy == 0 || iy == ny-1 {
@@ -270,24 +300,33 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 				c.outlet = iy * cfg.NumOutlets / ny
 				s.frontPerOutlet[c.outlet]++
 			}
+			load := 0
 			if seat[ix] {
-				c.load += 2
+				load += 2
 				s.seats++
 			}
 			if 5*ix >= 2*nx {
-				c.load++
+				load++
 			}
-			id, ok := classes[c.cellTerms]
+			class, ok := classOf[c]
 			if !ok {
-				id = len(s.classRep)
-				classes[c.cellTerms] = id
-				s.classRep = append(s.classRep, i)
+				class = len(s.classes)
+				classOf[c] = class
+				s.classes = append(s.classes, c)
 			}
-			c.class = id
+			gi, ok := groupOf[[2]int{class, load}]
+			if !ok {
+				gi = len(s.groups)
+				groupOf[[2]int{class, load}] = gi
+				s.groups = append(s.groups, cellGroup{class: class, load: load})
+			}
+			g := &s.groups[gi]
+			g.cells = append(g.cells, int32(i))
+			g.nbr = append(g.nbr, nbr[:c.edges]...)
 		}
 	}
-	s.classG = make([]float64, len(s.classRep))
-	s.classDecay = make([]float64, len(s.classRep))
+	s.classG = make([]float64, len(s.classes))
+	s.classDecay = make([]float64, len(s.classes))
 
 	for i := range s.temps {
 		s.temps[i] = cfg.InitialTemp
@@ -305,19 +344,8 @@ func (s *Simulator) NumCells() int { return s.nx * s.ny }
 // into substeps no longer than Config.MaxStep, so results have the
 // same fidelity whatever the caller's stepping.
 func (s *Simulator) Step(dt time.Duration, in Inputs) error {
-	if dt <= 0 {
-		return fmt.Errorf("building: step dt %v must be positive", dt)
-	}
-	if in.Occupants < 0 {
-		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
-	}
-	for _, f := range in.HVAC.Flows {
-		if f < 0 || math.IsNaN(f) {
-			return fmt.Errorf("building: invalid VAV flow %v", f)
-		}
-	}
-	if math.IsNaN(in.Ambient) {
-		return fmt.Errorf("building: ambient temperature is NaN")
+	if err := checkStep(dt, in); err != nil {
+		return err
 	}
 	total := dt.Seconds()
 	steps := int(math.Ceil(total / s.cfg.MaxStep.Seconds()))
@@ -403,7 +431,7 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 	// the back (return-plume) half breathe in counter-phase, like a slow
 	// room-scale circulation cell. A cell's load depends only on
 	// whether it is a seat and which half it is in, so the four loads
-	// are computed once, indexed like cellStencil.load.
+	// are computed once, indexed like cellGroup.load.
 	var wob [2]float64 // front, back
 	if wobAmp > 0 {
 		wob[0] = wobAmp * math.Sin(wobPhase)
@@ -422,17 +450,17 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 
 	// Every cell of a class has the same total conductance, so its
 	// decay factor is one exp.
-	for c, rep := range s.classRep {
-		st := &s.cells[rep]
+	for c := range s.classes {
+		ct := &s.classes[c]
 		var g float64
-		for _, k := range st.kind[:st.edges] {
+		for _, k := range ct.kind[:ct.edges] {
 			g += mixBy[k]
 		}
-		if st.env > 0 {
-			g += st.env
+		if ct.env > 0 {
+			g += ct.env
 		}
 		g += s.groundUA
-		if o := st.outlet; o >= 0 && flows[o] > 0 {
+		if o := ct.outlet; o >= 0 && flows[o] > 0 {
 			g += s.supplyUA[o]
 		}
 		s.classG[c] = g
@@ -443,26 +471,68 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 
 	// The cell update reads only the frozen `old` field (a
 	// Jacobi-style sweep) and relaxes exponentially, so it is
-	// unconditionally stable.
+	// unconditionally stable. Each cell sums, from +0 and in this
+	// order, its edges' conductance-weighted neighbour temperatures,
+	// then the envelope, ground and supply terms. A group computes
+	// each product once; a product of the same two float64 values is
+	// the same float64 wherever it is computed, so every cell gets
+	// the bits of a per-cell sum. A term the class lacks is added as
+	// +0, which changes nothing: a sum started from +0 is never -0.
 	old := s.temps
 	next := s.scratch
-	for i := range s.cells {
-		st := &s.cells[i]
-		var gt float64
-		for e, j := range st.nbr[:st.edges] {
-			gt += mixBy[st.kind[e]] * old[j]
+	groundT := s.groundUA * groundTemp
+	for gi := range s.groups {
+		grp := &s.groups[gi]
+		ct := &s.classes[grp.class]
+		g, ld := s.classG[grp.class], load[grp.load]
+		if !(g > 0) {
+			// relax ignores gt when g <= 0 (the cells only take
+			// their load); a NaN g gives NaN whatever gt is.
+			for _, i := range grp.cells {
+				next[i] = relax(old[i], g, 0, ld, sub, s.cellCap)
+			}
+			continue
 		}
-		if st.env > 0 {
-			gt += st.env * in.Ambient
+		decay := s.classDecay[grp.class]
+		var envT, supplyT float64
+		if ct.env > 0 {
+			envT = ct.env * in.Ambient
 		}
-		gt += s.groundUA * groundTemp
-		if o := st.outlet; o >= 0 && flows[o] > 0 {
-			gt += s.supplyUA[o] * s.outlet[o]
+		if o := ct.outlet; o >= 0 && flows[o] > 0 {
+			supplyT = s.supplyUA[o] * s.outlet[o]
 		}
-		if g := s.classG[st.class]; g > 0 {
-			next[i] = relaxBy(old[i], g, gt, load[st.load], s.classDecay[st.class])
-		} else {
-			next[i] = relax(old[i], g, gt, load[st.load], sub, s.cellCap)
+		var m [4]float64
+		for e, k := range ct.kind[:ct.edges] {
+			m[e] = mixBy[k]
+		}
+		switch ct.edges {
+		case 2:
+			for c, i := range grp.cells {
+				nb := (*[2]int32)(grp.nbr[2*c:])
+				gt := 0.0
+				gt += m[0] * old[nb[0]]
+				gt += m[1] * old[nb[1]]
+				next[i] = relaxBy(old[i], g, gt+envT+groundT+supplyT, ld, decay)
+			}
+		case 3:
+			for c, i := range grp.cells {
+				nb := (*[3]int32)(grp.nbr[3*c:])
+				gt := 0.0
+				gt += m[0] * old[nb[0]]
+				gt += m[1] * old[nb[1]]
+				gt += m[2] * old[nb[2]]
+				next[i] = relaxBy(old[i], g, gt+envT+groundT+supplyT, ld, decay)
+			}
+		default: // 4: Validate requires at least 2 cells a side
+			for c, i := range grp.cells {
+				nb := (*[4]int32)(grp.nbr[4*c:])
+				gt := 0.0
+				gt += m[0] * old[nb[0]]
+				gt += m[1] * old[nb[1]]
+				gt += m[2] * old[nb[2]]
+				gt += m[3] * old[nb[3]]
+				next[i] = relaxBy(old[i], g, gt+envT+groundT+supplyT, ld, decay)
+			}
 		}
 	}
 	s.temps, s.scratch = next, old

@@ -1,6 +1,7 @@
 package building
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -88,13 +89,54 @@ func TestStepCoolingFront(t *testing.T) {
 	}
 }
 
+// TestStepRejectsBadInputs: every archetype's Step rejects a bad dt or
+// input before it touches the state, so a non-finite weather, supply or
+// flow value fails at the boundary instead of turning the room to NaN.
 func TestStepRejectsBadInputs(t *testing.T) {
-	s, err := NewSimulator(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	good := func() Inputs {
+		return Inputs{
+			HVAC:      hvac.State{Flows: []float64{0.2, 0.2, 0.2, 0.2}, SupplyTemp: 14},
+			Occupants: 10,
+			LightsOn:  true,
+			Ambient:   20,
+		}
 	}
-	if err := s.Step(0, Inputs{HVAC: hvac.State{Flows: make([]float64, 4)}}); err == nil {
-		t.Error("zero dt accepted")
+	cases := []struct {
+		name   string
+		dt     time.Duration
+		mutate func(*Inputs)
+	}{
+		{"zero dt", 0, func(*Inputs) {}},
+		{"negative occupants", time.Minute, func(in *Inputs) { in.Occupants = -1 }},
+		{"negative flow", time.Minute, func(in *Inputs) { in.HVAC.Flows[1] = -0.1 }},
+		{"NaN flow", time.Minute, func(in *Inputs) { in.HVAC.Flows[1] = math.NaN() }},
+		{"infinite flow", time.Minute, func(in *Inputs) { in.HVAC.Flows[1] = math.Inf(1) }},
+		{"NaN ambient", time.Minute, func(in *Inputs) { in.Ambient = math.NaN() }},
+		{"infinite ambient", time.Minute, func(in *Inputs) { in.Ambient = math.Inf(1) }},
+		{"negative infinite ambient", time.Minute, func(in *Inputs) { in.Ambient = math.Inf(-1) }},
+		{"NaN supply", time.Minute, func(in *Inputs) { in.HVAC.SupplyTemp = math.NaN() }},
+		{"infinite supply", time.Minute, func(in *Inputs) { in.HVAC.SupplyTemp = math.Inf(1) }},
+	}
+	for _, name := range Archetypes() {
+		for _, tc := range cases {
+			sp, err := DefaultSpec(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := sp.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := b.MeanTemp()
+			in := good()
+			tc.mutate(&in)
+			if err := b.Step(tc.dt, in); err == nil {
+				t.Errorf("%s, %s: accepted", name, tc.name)
+			}
+			if after := b.MeanTemp(); math.Float64bits(after) != math.Float64bits(before) {
+				t.Errorf("%s, %s: mean temperature %v -> %v after a rejected step", name, tc.name, before, after)
+			}
+		}
 	}
 }
 

@@ -308,14 +308,30 @@ func FuzzAuditoriumSubstep(f *testing.F) {
 }
 
 // TestPaperGridClasses pins the compiled paper grid: 60 cells fall
-// into 11 conductance classes, so a substep takes 11 exps, not 60.
+// into 11 conductance classes, so a substep takes 11 exps, not 60, and
+// into 13 (class, load) groups, each cell once and in row-major order
+// within its group.
 func TestPaperGridClasses(t *testing.T) {
 	s, err := NewSimulator(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.cells) != 60 || len(s.classRep) != 11 {
-		t.Fatalf("%d cells in %d classes, want 60 in 11", len(s.cells), len(s.classRep))
+	seen := make([]bool, s.NumCells())
+	cells := 0
+	for _, g := range s.groups {
+		if len(g.nbr) != len(g.cells)*s.classes[g.class].edges {
+			t.Fatalf("group %+v: %d neighbours for %d cells", g, len(g.nbr), len(g.cells))
+		}
+		for k, i := range g.cells {
+			if seen[i] || (k > 0 && i <= g.cells[k-1]) {
+				t.Fatalf("group %+v: cell %d repeated or out of order", g, i)
+			}
+			seen[i] = true
+			cells++
+		}
+	}
+	if cells != 60 || len(s.classes) != 11 || len(s.groups) != 13 {
+		t.Fatalf("%d cells in %d classes and %d groups, want 60 in 11 and 13", cells, len(s.classes), len(s.groups))
 	}
 }
 
@@ -339,4 +355,26 @@ func TestStepAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Step allocates %v times per call, want 0", allocs)
 	}
+}
+
+// BenchmarkAuditoriumSubstep times the paper grid's substep as the
+// control study runs it: one op is a one-minute Step of six 10 s
+// substeps under daytime inputs, and ns/substep is a sixth of it.
+func BenchmarkAuditoriumSubstep(b *testing.B) {
+	s, err := NewSimulator(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := Inputs{
+		HVAC:      hvac.State{Flows: []float64{0.3, 0.2, 0, 0.4}, SupplyTemp: 14},
+		Occupants: 60,
+		LightsOn:  true,
+		Ambient:   28,
+	}
+	for b.Loop() {
+		if err := s.Step(time.Minute, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(6*b.N), "ns/substep")
 }

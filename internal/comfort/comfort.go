@@ -50,24 +50,39 @@ func AuditoriumConditions(airTemp float64) Conditions {
 	}
 }
 
-// Validate checks the inputs are within the model's sensible range.
+// Validate checks the inputs are finite and within the model's
+// sensible range. Each comparison is written so that NaN fails it.
 func (c Conditions) Validate() error {
-	if c.AirTemp < -10 || c.AirTemp > 50 {
+	if !(c.AirTemp >= -10 && c.AirTemp <= 50) {
 		return fmt.Errorf("comfort: air temperature %v degC out of range", c.AirTemp)
 	}
-	if c.AirVelocity < 0 {
-		return fmt.Errorf("comfort: negative air velocity %v", c.AirVelocity)
+	if math.IsNaN(c.RadiantTemp) || math.IsInf(c.RadiantTemp, 0) {
+		return fmt.Errorf("comfort: radiant temperature %v degC is not finite", c.RadiantTemp)
 	}
-	if c.RelHumidity < 0 || c.RelHumidity > 100 {
+	if !(c.AirVelocity >= 0) || math.IsInf(c.AirVelocity, 1) {
+		return fmt.Errorf("comfort: air velocity %v must be finite and non-negative", c.AirVelocity)
+	}
+	if !(c.RelHumidity >= 0 && c.RelHumidity <= 100) {
 		return fmt.Errorf("comfort: relative humidity %v%% out of range", c.RelHumidity)
 	}
-	if c.Metabolic <= 0 {
-		return fmt.Errorf("comfort: metabolic rate %v must be positive", c.Metabolic)
+	if !(c.Metabolic > 0) || math.IsInf(c.Metabolic, 1) {
+		return fmt.Errorf("comfort: metabolic rate %v must be finite and positive", c.Metabolic)
 	}
-	if c.Clothing < 0 {
-		return fmt.Errorf("comfort: negative clothing insulation %v", c.Clothing)
+	if !(c.Clothing >= 0) || math.IsInf(c.Clothing, 1) {
+		return fmt.Errorf("comfort: clothing insulation %v must be finite and non-negative", c.Clothing)
 	}
 	return nil
+}
+
+// pow4 returns x⁴ as (x*x)*(x*x). For finite x whose x² and x⁴ are
+// normal floats, and at 0, ±Inf and NaN, that is the float64
+// math.Pow(x, 4) returns: Pow squares the Frexp mantissa twice, each
+// time with one rounding and an exact doubling, and scales by Ldexp,
+// and scaling by a power of two commutes with rounding in the normal
+// range. PMV's arguments (tra/100, xf, xn) lie near 2.6–3.3.
+func pow4(x float64) float64 {
+	x2 := x * x
+	return x2 * x2
 }
 
 // PMV computes Fanger's Predicted Mean Vote: the expected comfort vote
@@ -98,7 +113,7 @@ func PMV(c Conditions) (float64, error) {
 	p2 := p1 * 3.96
 	p3 := p1 * 100
 	p4 := p1 * taa
-	p5 := 308.7 - 0.028*mw + p2*math.Pow(tra/100, 4)
+	p5 := 308.7 - 0.028*mw + p2*pow4(tra/100)
 	xn := tcla / 100
 	xf := xn
 	const eps = 0.00015
@@ -106,12 +121,14 @@ func PMV(c Conditions) (float64, error) {
 	converged := false
 	for i := 0; i < 150; i++ {
 		xf = (xf + xn) / 2
-		hcn := 2.38 * math.Pow(math.Abs(100*xf-taa), 0.25)
+		// math.Pow(a, 0.25) for a >= 0 is exactly Exp(0.25*Log(a)),
+		// at 0, +Inf and NaN too.
+		hcn := 2.38 * math.Exp(0.25*math.Log(math.Abs(100*xf-taa)))
 		hc = hcf
 		if hcn > hc {
 			hc = hcn
 		}
-		xn = (p5 + p4*hc - p2*math.Pow(xf, 4)) / (100 + p3*hc)
+		xn = (p5 + p4*hc - p2*pow4(xf)) / (100 + p3*hc)
 		if math.Abs(xn-xf) < eps {
 			converged = true
 			break
@@ -128,10 +145,10 @@ func PMV(c Conditions) (float64, error) {
 	if mw > 58.15 {
 		hl2 = 0.42 * (mw - 58.15)
 	}
-	hl3 := 1.7 * 0.00001 * m * (5867 - pa)                       // latent respiration
-	hl4 := 0.0014 * m * (34 - c.AirTemp)                         // dry respiration
-	hl5 := 3.96 * fcl * (math.Pow(xn, 4) - math.Pow(tra/100, 4)) // radiation
-	hl6 := fcl * hc * (tcl - c.AirTemp)                          // convection
+	hl3 := 1.7 * 0.00001 * m * (5867 - pa)         // latent respiration
+	hl4 := 0.0014 * m * (34 - c.AirTemp)           // dry respiration
+	hl5 := 3.96 * fcl * (pow4(xn) - pow4(tra/100)) // radiation
+	hl6 := fcl * hc * (tcl - c.AirTemp)            // convection
 
 	ts := 0.303*math.Exp(-0.036*m) + 0.028
 	return ts * (mw - hl1 - hl2 - hl3 - hl4 - hl5 - hl6), nil

@@ -1,6 +1,7 @@
 package comfort
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -107,12 +108,22 @@ func TestValidate(t *testing.T) {
 		{"humidity high", func(c *Conditions) { c.RelHumidity = 150 }},
 		{"zero metabolic", func(c *Conditions) { c.Metabolic = 0 }},
 		{"negative clothing", func(c *Conditions) { c.Clothing = -0.1 }},
+		{"NaN air temp", func(c *Conditions) { c.AirTemp = math.NaN() }},
+		{"NaN radiant temp", func(c *Conditions) { c.RadiantTemp = math.NaN() }},
+		{"infinite radiant temp", func(c *Conditions) { c.RadiantTemp = math.Inf(1) }},
+		{"NaN velocity", func(c *Conditions) { c.AirVelocity = math.NaN() }},
+		{"infinite velocity", func(c *Conditions) { c.AirVelocity = math.Inf(1) }},
+		{"NaN humidity", func(c *Conditions) { c.RelHumidity = math.NaN() }},
+		{"NaN metabolic", func(c *Conditions) { c.Metabolic = math.NaN() }},
+		{"infinite metabolic", func(c *Conditions) { c.Metabolic = math.Inf(1) }},
+		{"NaN clothing", func(c *Conditions) { c.Clothing = math.NaN() }},
+		{"infinite clothing", func(c *Conditions) { c.Clothing = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		c := AuditoriumConditions(21)
 		tc.mutate(&c)
-		if _, err := PMV(c); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if _, err := PMV(c); err == nil || errors.Is(err, ErrNoConvergence) {
+			t.Errorf("%s: PMV error %v, want a validation error", tc.name, err)
 		}
 	}
 }

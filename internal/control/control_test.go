@@ -307,3 +307,23 @@ func TestRunLoopMoreFlowMoreEnergy(t *testing.T) {
 		t.Errorf("high-flow energy %v not above low-flow %v", high.CoolingKWh, low.CoolingKWh)
 	}
 }
+
+// TestRunLoopNoAllocationPerTick: one more simulated day adds 1,440
+// one-minute ticks but allocates only at its 96 decision steps (the
+// Observation's copy of the readings, which a controller may keep)
+// and for the longer weather series.
+func TestRunLoopNoAllocationPerTick(t *testing.T) {
+	allocs := func(days int) float64 {
+		cfg := loopConfig(t, days)
+		return testing.AllocsPerRun(1, func() {
+			if _, err := RunLoop(cfg, DefaultDeadband()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cfg := loopConfig(t, 1)
+	decisions := int(24 * time.Hour / cfg.DecisionStep)
+	if extra := allocs(2) - allocs(1); extra > float64(decisions+4) {
+		t.Fatalf("one more day allocates %v more times, want at most %d (one per decision step, plus 4)", extra, decisions+4)
+	}
+}

@@ -154,6 +154,9 @@ func RunLoop(cfg LoopConfig, ctrl Controller) (*LoopResult, error) {
 	truthBuf := make([]float64, len(cfg.SensorPositions))
 	predBuf := make([]float64, len(cfg.SensorPositions))
 	predValid := false
+	// The per-VAV flow command: sim.Step only reads it, so one buffer
+	// serves every tick.
+	flows := make([]float64, cfg.NumVAVs)
 	for k := 0; k < nSteps; k++ {
 		t := cfg.Start.Add(time.Duration(k) * cfg.SimStep)
 		amb, ok := ambient.InterpAt(t)
@@ -223,7 +226,6 @@ func RunLoop(cfg LoopConfig, ctrl Controller) (*LoopResult, error) {
 			nextDecision = nextDecision.Add(cfg.DecisionStep)
 		}
 
-		flows := make([]float64, cfg.NumVAVs)
 		for i := range flows {
 			flows[i] = cmd.FlowPerVAV
 		}

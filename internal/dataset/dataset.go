@@ -294,6 +294,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	// Co-simulation loop.
 	nSteps := int(end.Sub(cfg.Start) / cfg.SimStep)
 	truths := make([]float64, len(sensors))
+	// The thermostat readings: plant.Step only reads them, so one
+	// buffer serves every step.
+	thermo := make([]float64, len(thermoPos))
 	for k := 0; k < nSteps; k++ {
 		t := cfg.Start.Add(time.Duration(k) * cfg.SimStep)
 
@@ -304,7 +307,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		occ := sched.CountAt(t)
 		lights := occ > 0
 
-		thermo := make([]float64, len(thermoPos))
 		for i, p := range thermoPos {
 			thermo[i] = sim.TemperatureAt(p)
 		}

@@ -416,3 +416,24 @@ func TestVisionCameraOption(t *testing.T) {
 		t.Error("vision camera never saw an event")
 	}
 }
+
+// TestGenerateNoAllocationPerStep: the co-simulation loop reuses its
+// thermostat buffer and the plant its flow buffer, so one more
+// simulated day (1,440 one-minute steps) allocates only for what grows
+// with the trace (series and frame storage), far less than once per
+// step.
+func TestGenerateNoAllocationPerStep(t *testing.T) {
+	allocs := func(days int) float64 {
+		cfg := benchConfig()
+		cfg.Days = days
+		return testing.AllocsPerRun(1, func() {
+			if _, err := Generate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	steps := int(24 * time.Hour / benchConfig().SimStep)
+	if extra := allocs(3) - allocs(2); extra >= float64(steps)/10 {
+		t.Fatalf("one more day of %d steps allocates %v more times, want under %d", steps, extra, steps/10)
+	}
+}

@@ -111,6 +111,7 @@ func (s State) TotalFlow() float64 {
 type Plant struct {
 	cfg    Config
 	flows  []float64 // current (smoothed) per-VAV flows
+	out    []float64 // the Flows of the State that Step returns
 	supply float64   // current supply temperature
 	excRng *rand.Rand
 	exc    float64 // current excitation offset, kg/s per VAV
@@ -154,7 +155,7 @@ func NewPlant(cfg Config) (*Plant, error) {
 	for i := range flows {
 		flows[i] = cfg.MinFlowPerVAV
 	}
-	p := &Plant{cfg: cfg, flows: flows, supply: cfg.NeutralSupplyTemp}
+	p := &Plant{cfg: cfg, flows: flows, out: make([]float64, len(flows)), supply: cfg.NeutralSupplyTemp}
 	if cfg.ExcitationStd > 0 {
 		p.excRng = rand.New(rand.NewSource(cfg.ExcitationSeed))
 	}
@@ -176,6 +177,9 @@ func (p *Plant) OnModeAt(t time.Time) bool {
 // rising proportionally with the error, below the deadband it reheats
 // at warm supply temperature. Commanded flow is smoothed through the
 // damper time constant.
+//
+// The returned State's Flows is the plant's own buffer: the next Step
+// overwrites it, so a caller that keeps the flows copies them.
 func (p *Plant) Step(t time.Time, dt time.Duration, thermostats []float64) (State, error) {
 	if dt <= 0 {
 		return State{}, fmt.Errorf("hvac: step dt %v must be positive", dt)
@@ -228,9 +232,8 @@ func (p *Plant) Step(t time.Time, dt time.Duration, thermostats []float64) (Stat
 	// Supply temperature tracks its command through the same lag; coil
 	// dynamics are comparable to damper dynamics at this fidelity.
 	p.supply += alpha * (supply - p.supply)
-	st := State{Flows: make([]float64, len(p.flows)), SupplyTemp: p.supply, OnMode: on}
-	copy(st.Flows, p.flows)
-	return st, nil
+	copy(p.out, p.flows)
+	return State{Flows: p.out, SupplyTemp: p.supply, OnMode: on}, nil
 }
 
 // Logger mimics the building portal: it records the plant state at

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -77,6 +78,42 @@ func qDur(q url.Values, params map[string]string, key string, def time.Duration)
 	return d, nil
 }
 
+// qIntIn reads an integer parameter that must lie in [lo, hi].
+func qIntIn(q url.Values, params map[string]string, key string, def, lo, hi int) (int, error) {
+	n, err := qInt(q, params, key, def)
+	if err != nil {
+		return 0, err
+	}
+	if n < lo || n > hi {
+		return 0, fmt.Errorf("parameter %s: %d outside [%d, %d]", key, n, lo, hi)
+	}
+	return n, nil
+}
+
+// qFinite reads a float parameter that must be finite: NaN or ±Inf
+// would run a whole study to a meaningless result.
+func qFinite(q url.Values, params map[string]string, key string, def float64) (float64, error) {
+	f, err := qFloat(q, params, key, def)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("parameter %s: %v is not finite", key, f)
+	}
+	return f, nil
+}
+
+// qHours reads the schedule's on and off hours, each in [0, 24].
+func qHours(q url.Values, params map[string]string, defOn, defOff int) (on, off int, err error) {
+	if on, err = qIntIn(q, params, "on", defOn, 0, 24); err != nil {
+		return 0, 0, err
+	}
+	if off, err = qIntIn(q, params, "off", defOff, 0, 24); err != nil {
+		return 0, 0, err
+	}
+	return on, off, nil
+}
+
 func parseMetric(name string) (cluster.Metric, error) {
 	switch name {
 	case "euclidean":
@@ -124,15 +161,14 @@ func (s *Server) parseSysid(q url.Values) (map[string]string, computeFn, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	onHour, err := qInt(q, params, "on", 6)
+	if horizon <= 0 {
+		return nil, nil, fmt.Errorf("parameter horizon: %v must be positive", horizon)
+	}
+	onHour, offHour, err := qHours(q, params, 6, 21)
 	if err != nil {
 		return nil, nil, err
 	}
-	offHour, err := qInt(q, params, "off", 21)
-	if err != nil {
-		return nil, nil, err
-	}
-	maxMissing, err := qFloat(q, params, "max_missing", 0.5)
+	maxMissing, err := qFinite(q, params, "max_missing", 0.5)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,11 +203,7 @@ func (s *Server) parseCluster(q url.Values) (map[string]string, computeFn, error
 	if err != nil {
 		return nil, nil, err
 	}
-	onHour, err := qInt(q, params, "on", 6)
-	if err != nil {
-		return nil, nil, err
-	}
-	offHour, err := qInt(q, params, "off", 21)
+	onHour, offHour, err := qHours(q, params, 6, 21)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,19 +240,12 @@ func (s *Server) parseSelect(q url.Values) (map[string]string, computeFn, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	seeds, err := qInt(q, params, "seeds", 10)
+	seeds, err := qIntIn(q, params, "seeds", 10, 1, maxSeeds)
 	if err != nil {
 		return nil, nil, err
-	}
-	if seeds < 1 {
-		return nil, nil, fmt.Errorf("parameter seeds: %d must be positive", seeds)
 	}
 	gpMode := qStr(q, params, "gp", "fast")
-	onHour, err := qInt(q, params, "on", 6)
-	if err != nil {
-		return nil, nil, err
-	}
-	offHour, err := qInt(q, params, "off", 21)
+	onHour, offHour, err := qHours(q, params, 6, 21)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -254,18 +279,15 @@ func (s *Server) parseControl(q url.Values) (map[string]string, computeFn, error
 	if controller != "deadband" && controller != "fixed" {
 		return nil, nil, fmt.Errorf("parameter controller: unknown %q (deadband or fixed)", controller)
 	}
-	days, err := qInt(q, params, "days", 7)
+	days, err := qIntIn(q, params, "days", 7, 1, maxDays)
 	if err != nil {
 		return nil, nil, err
 	}
-	if days < 1 {
-		return nil, nil, fmt.Errorf("parameter days: %d must be positive", days)
-	}
-	setpoint, err := qFloat(q, params, "setpoint", 21)
+	setpoint, err := qFinite(q, params, "setpoint", 21)
 	if err != nil {
 		return nil, nil, err
 	}
-	flow, err := qFloat(q, params, "flow", 0.3)
+	flow, err := qFinite(q, params, "flow", 0.3)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -297,12 +319,9 @@ func (s *Server) parseReport(q url.Values) (map[string]string, computeFn, error)
 	if !s.reportSet[id] {
 		return nil, nil, fmt.Errorf("parameter id: unknown experiment %q (see /v1/experiments)", id)
 	}
-	controlDays, err := qInt(q, params, "control_days", 7)
+	controlDays, err := qIntIn(q, params, "control_days", 7, 1, maxDays)
 	if err != nil {
 		return nil, nil, err
-	}
-	if controlDays < 1 {
-		return nil, nil, fmt.Errorf("parameter control_days: %d must be positive", controlDays)
 	}
 	compute := func(ctx context.Context, eng *pipeline.Engine, b *obs.ManifestBuilder) (any, error) {
 		src := experiments.NewEnvSource(eng, s.cfg.Dataset)
@@ -340,6 +359,18 @@ func (s *Server) parseReport(q url.Values) (map[string]string, computeFn, error)
 // monopolizing the admission gate for minutes.
 const maxFleetN = 64
 
+// maxDays bounds every simulated day count a request may ask for: the
+// control study's days (/v1/control, /v1/report) and a fleet member's
+// trace and control days (/v1/fleet). The paper's trace is 98 days, so
+// no request simulates more of one building than the paper did, and a
+// control study stays within seconds (one day is ~1,440 ticks).
+const maxDays = 98
+
+// maxSeeds bounds /v1/select's random draws: each draw is one more
+// SRS and RS evaluation, so a request's cost grows with it; the cap is
+// a hundredfold the default 10.
+const maxSeeds = 1000
+
 // parseFleet: GET /v1/fleet?n=8&archetypes=auditorium,office&seed=1&days=6&control_days=2
 // → a portfolio of randomized buildings through the full pipeline; the
 // body is the fleet.Report with per-archetype distributions. Member
@@ -360,15 +391,15 @@ func (s *Server) parseFleet(q url.Values) (map[string]string, computeFn, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	days, err := qInt(q, params, "days", 6)
+	days, err := qIntIn(q, params, "days", 6, 1, maxDays)
 	if err != nil {
 		return nil, nil, err
 	}
-	controlDays, err := qInt(q, params, "control_days", 2)
+	controlDays, err := qIntIn(q, params, "control_days", 2, 1, maxDays)
 	if err != nil {
 		return nil, nil, err
 	}
-	setpoint, err := qFloat(q, params, "setpoint", 22)
+	setpoint, err := qFinite(q, params, "setpoint", 22)
 	if err != nil {
 		return nil, nil, err
 	}
