@@ -83,7 +83,12 @@ flake:
 # FuzzModelCodecDecode / FuzzFrameCodecDecode / FuzzDatasetCodecDecode:
 # any bytes either fail to decode or decode to a value whose encoding
 # is a fixed point (Encode -> Decode -> Encode gives the same bytes);
-# nothing panics.
+# nothing panics. A frame's or dataset's short cell block, trailing
+# bytes or a shape whose channels x n x 8 overflows int is rejected
+# before any cell is allocated.
+# FuzzClusterCodecDecode / FuzzSelectionCodecDecode: the same for
+# clusterings and selections, whose decoded values must also index
+# safely: cluster members, per-cluster means and selected sensors.
 # FuzzEncodeEnvelope: for any codec name, version, payload string and
 # float, the artifact envelope written directly is byte for byte what
 # json.Encoder writes for it, or both fail.
@@ -111,6 +116,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzDatasetCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectionCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeEnvelope$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceRef$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceEncode$$' -fuzztime 10s ./internal/obs

@@ -76,7 +76,9 @@ func decodeEnvelope(r io.Reader, name string, version int) (json.RawMessage, err
 
 // JSONCodec builds a codec for any plain JSON-round-trippable type
 // (no NaN/Inf floats unless wrapped in Float). The payload is wrapped
-// in the standard envelope.
+// in the standard envelope. When T has a Validate() error method,
+// Decode calls it and returns its error instead of the value: decoded
+// bytes may come from another process, and consumers index with them.
 func JSONCodec[T any](name string, version int) Codec[T] {
 	return Codec[T]{
 		Name:    name,
@@ -85,13 +87,18 @@ func JSONCodec[T any](name string, version int) Codec[T] {
 			return encodeEnvelope(w, name, version, v)
 		},
 		Decode: func(r io.Reader) (T, error) {
-			var v T
+			var v, zero T
 			raw, err := decodeEnvelope(r, name, version)
 			if err != nil {
-				return v, err
+				return zero, err
 			}
 			if err := json.Unmarshal(raw, &v); err != nil {
-				return v, fmt.Errorf("artifact: decoding %s payload: %w", name, err)
+				return zero, fmt.Errorf("artifact: decoding %s payload: %w", name, err)
+			}
+			if c, ok := any(v).(interface{ Validate() error }); ok {
+				if err := c.Validate(); err != nil {
+					return zero, err
+				}
 			}
 			return v, nil
 		},
@@ -102,7 +109,7 @@ func JSONCodec[T any](name string, version int) Codec[T] {
 // emitted with strconv's shortest exact formatting (which encoding/json
 // also uses), while NaN and ±Inf — which plain JSON rejects — are
 // emitted as quoted strings. Cache artifacts use it anywhere a missing
-// value can appear (per-sensor RMS, frame cells, eigenvalues).
+// value can appear (per-sensor RMS, eigenvalues, selection scores).
 type Float float64
 
 // MarshalJSON implements json.Marshaler.

@@ -1,11 +1,12 @@
 package artifact
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"time"
 
 	"auditherm/internal/building"
@@ -18,109 +19,116 @@ import (
 
 // ---------------------------------------------------------------------
 // Frame codec: a multi-channel regular-grid series with missing cells.
-// Values are stored per channel as exact shortest-round-trip strings
-// ("" for a missing cell) so decode(encode(f)) is bit-identical,
-// including NaN placement.
+// The envelope line carries the grid and channel names; the cells
+// follow it as little-endian float64s, channel by channel, so
+// decode(encode(f)) is bit-identical. Every NaN (a missing cell) is
+// written as math.NaN(), so decode → encode is a fixed point.
 // ---------------------------------------------------------------------
 
-type frameJSON struct {
-	Start    time.Time  `json:"start"`
-	StepNS   int64      `json:"step_ns"`
-	N        int        `json:"n"`
-	Channels []string   `json:"channels"`
-	Values   [][]string `json:"values"`
+type frameHead struct {
+	Start    time.Time `json:"start"`
+	StepNS   int64     `json:"step_ns"`
+	N        int       `json:"n"`
+	Channels []string  `json:"channels"`
 }
 
-func frameToJSON(f *timeseries.Frame) frameJSON {
-	out := frameJSON{
-		Start:    f.Grid.Start,
-		StepNS:   int64(f.Grid.Step),
-		N:        f.Grid.N,
-		Channels: append([]string(nil), f.Channels...),
-		Values:   make([][]string, len(f.Values)),
-	}
-	for i, row := range f.Values {
-		cells := make([]string, len(row))
-		for k, v := range row {
-			cells[k] = formatCell(v)
-		}
-		out.Values[i] = cells
-	}
-	return out
+func headOf(f *timeseries.Frame) frameHead {
+	return frameHead{Start: f.Grid.Start, StepNS: int64(f.Grid.Step), N: f.Grid.N, Channels: f.Channels}
 }
 
-func frameFromJSON(j frameJSON) (*timeseries.Frame, error) {
-	if j.StepNS <= 0 || j.N < 0 {
-		return nil, fmt.Errorf("artifact: frame grid step %dns / n %d invalid", j.StepNS, j.N)
+// encodeFrames writes the envelope line for head, then every cell of
+// frames in one Write: each Write costs Put a hash update and a syscall.
+func encodeFrames(w io.Writer, name string, version int, head any, frames ...*timeseries.Frame) error {
+	size := 0
+	for _, f := range frames {
+		size += 8 * len(f.Channels) * f.Grid.N
 	}
-	// Check the shape before allocating: the frame holds
-	// channels x n cells, so n must be backed by cells in the payload.
-	if len(j.Values) != len(j.Channels) {
-		return nil, fmt.Errorf("artifact: frame has %d value rows for %d channels", len(j.Values), len(j.Channels))
-	}
-	for i, cells := range j.Values {
-		if len(cells) != j.N {
-			return nil, fmt.Errorf("artifact: frame channel %q has %d cells, want %d", j.Channels[i], len(cells), j.N)
-		}
-	}
-	g := timeseries.Grid{Start: j.Start, Step: time.Duration(j.StepNS), N: j.N}
-	f := timeseries.NewFrame(g, j.Channels)
-	for i, cells := range j.Values {
-		for k, cell := range cells {
-			v, err := parseCell(cell)
-			if err != nil {
-				return nil, fmt.Errorf("artifact: frame channel %q cell %d: %w", j.Channels[i], k, err)
+	block := make([]byte, 0, size)
+	for _, f := range frames {
+		for _, row := range f.Values {
+			for _, v := range row {
+				if v != v {
+					v = math.NaN()
+				}
+				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
 			}
-			f.Values[i][k] = v
 		}
 	}
-	return f, nil
+	if err := encodeEnvelope(w, name, version, head); err != nil {
+		return err
+	}
+	_, err := w.Write(block)
+	return err
 }
 
-// formatCell renders a float exactly; missing (NaN) becomes "".
-func formatCell(v float64) string {
-	if math.IsNaN(v) {
-		return ""
-	}
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	if math.IsInf(v, -1) {
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// cellBlock points at the head, inside an envelope payload, of a frame
+// whose cells follow the envelope line; name labels it in errors.
+type cellBlock struct {
+	name string
+	*frameHead
 }
 
-// parseCell inverts formatCell.
-func parseCell(s string) (float64, error) {
-	switch s {
-	case "":
-		return math.NaN(), nil
-	case "+Inf", "Inf":
-		return math.Inf(1), nil
-	case "-Inf":
-		return math.Inf(-1), nil
+// decodeFrames reads what encodeFrames wrote: it checks the envelope
+// line's codec and version, unmarshals its payload into head, and
+// builds one frame per block from the bytes after the line. Every
+// block's shape is checked, and the blocks must fill those bytes
+// exactly, before any cell is allocated.
+func decodeFrames(r io.Reader, name string, version int, head any, blocks ...cellBlock) ([]*timeseries.Frame, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: reading %s: %w", name, err)
 	}
-	return strconv.ParseFloat(s, 64)
+	line, rest, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		return nil, fmt.Errorf("artifact: %s envelope has no line end", name)
+	}
+	raw, err := decodeEnvelope(bytes.NewReader(line), name, version)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(raw, head); err != nil {
+		return nil, fmt.Errorf("artifact: decoding %s payload: %w", name, err)
+	}
+	left := len(rest)
+	for _, b := range blocks {
+		switch {
+		case b.StepNS <= 0 || b.N < 0:
+			return nil, fmt.Errorf("artifact: %s grid step %dns / n %d invalid", b.name, b.StepNS, b.N)
+		case b.N > 0 && len(b.Channels) > left/8/b.N: // 8·channels·n > left, without overflow
+			return nil, fmt.Errorf("artifact: %s needs %d channels x %d steps of cells, %d bytes left", b.name, len(b.Channels), b.N, left)
+		}
+		left -= 8 * len(b.Channels) * b.N
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("artifact: %d bytes trail the %s cells", left, blocks[len(blocks)-1].name)
+	}
+	frames := make([]*timeseries.Frame, len(blocks))
+	for i, b := range blocks {
+		frames[i] = timeseries.NewFrame(timeseries.Grid{Start: b.Start, Step: time.Duration(b.StepNS), N: b.N}, b.Channels)
+		for _, row := range frames[i].Values {
+			for k := range row {
+				row[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+				rest = rest[8:]
+			}
+		}
+	}
+	return frames, nil
 }
 
 // FrameCodec persists a timeseries.Frame bit-identically.
 var FrameCodec = Codec[*timeseries.Frame]{
 	Name:    "frame",
-	Version: 1,
+	Version: 2,
 	Encode: func(w io.Writer, f *timeseries.Frame) error {
-		return encodeEnvelope(w, "frame", 1, frameToJSON(f))
+		return encodeFrames(w, "frame", 2, headOf(f), f)
 	},
 	Decode: func(r io.Reader) (*timeseries.Frame, error) {
-		raw, err := decodeEnvelope(r, "frame", 1)
+		var h frameHead
+		frames, err := decodeFrames(r, "frame", 2, &h, cellBlock{"frame", &h})
 		if err != nil {
 			return nil, err
 		}
-		var j frameJSON
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return nil, fmt.Errorf("artifact: decoding frame payload: %w", err)
-		}
-		return frameFromJSON(j)
+		return frames[0], nil
 	},
 }
 
@@ -128,13 +136,15 @@ var FrameCodec = Codec[*timeseries.Frame]{
 // Dataset codec: the full generated trace — config, sensor layout,
 // identification frame, ground truth, the event schedule and the
 // backend outage plan — everything the experiments derive an Env from.
+// The envelope line carries all but the cells, which follow it as the
+// frame's block and then the truth's.
 // ---------------------------------------------------------------------
 
-type datasetJSON struct {
+type datasetHead struct {
 	Config  dataset.Config        `json:"config"`
 	Sensors []building.SensorSpec `json:"sensors"`
-	Frame   frameJSON             `json:"frame"`
-	Truth   frameJSON             `json:"truth"`
+	Frame   frameHead             `json:"frame"`
+	Truth   frameHead             `json:"truth"`
 	Events  []occupancy.Event     `json:"events"`
 	Outages []sensornet.Outage    `json:"outages,omitempty"`
 }
@@ -144,42 +154,31 @@ type datasetJSON struct {
 // schedule counts as the freshly generated one.
 var DatasetCodec = Codec[*dataset.Dataset]{
 	Name:    "dataset",
-	Version: 1,
+	Version: 2,
 	Encode: func(w io.Writer, d *dataset.Dataset) error {
-		j := datasetJSON{
+		j := datasetHead{
 			Config:  d.Config,
 			Sensors: d.Sensors,
-			Frame:   frameToJSON(d.Frame),
-			Truth:   frameToJSON(d.Truth),
+			Frame:   headOf(d.Frame),
+			Truth:   headOf(d.Truth),
 			Outages: d.Outages,
 		}
 		if d.Schedule != nil {
 			j.Events = d.Schedule.Events()
 		}
-		return encodeEnvelope(w, "dataset", 1, j)
+		return encodeFrames(w, "dataset", 2, j, d.Frame, d.Truth)
 	},
 	Decode: func(r io.Reader) (*dataset.Dataset, error) {
-		raw, err := decodeEnvelope(r, "dataset", 1)
-		if err != nil {
-			return nil, err
-		}
-		var j datasetJSON
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return nil, fmt.Errorf("artifact: decoding dataset payload: %w", err)
-		}
-		frame, err := frameFromJSON(j.Frame)
-		if err != nil {
-			return nil, err
-		}
-		truth, err := frameFromJSON(j.Truth)
+		var j datasetHead
+		frames, err := decodeFrames(r, "dataset", 2, &j, cellBlock{"dataset frame", &j.Frame}, cellBlock{"dataset truth", &j.Truth})
 		if err != nil {
 			return nil, err
 		}
 		return &dataset.Dataset{
 			Config:   j.Config,
 			Sensors:  j.Sensors,
-			Frame:    frame,
-			Truth:    truth,
+			Frame:    frames[0],
+			Truth:    frames[1],
 			Schedule: occupancy.NewSchedule(j.Events),
 			Outages:  j.Outages,
 		}, nil
@@ -255,6 +254,27 @@ func (c *ClusterArtifact) Members() [][]int {
 	return out
 }
 
+// Validate checks what Members and the cluster CLI rely on: 1 ≤ K ≤
+// len(Sensors), one assignment in [0, K) per sensor and one mean per
+// cluster.
+func (c *ClusterArtifact) Validate() error {
+	if c == nil {
+		return fmt.Errorf("artifact: empty cluster payload")
+	}
+	if c.K < 1 || c.K > len(c.Sensors) {
+		return fmt.Errorf("artifact: cluster k %d outside [1, %d sensors]", c.K, len(c.Sensors))
+	}
+	if len(c.Assign) != len(c.Sensors) || len(c.MeanC) != c.K {
+		return fmt.Errorf("artifact: cluster has %d assignments for %d sensors and %d means for k %d", len(c.Assign), len(c.Sensors), len(c.MeanC), c.K)
+	}
+	for i, a := range c.Assign {
+		if a < 0 || a >= c.K {
+			return fmt.Errorf("artifact: sensor %d assigned to cluster %d of k %d", i, a, c.K)
+		}
+	}
+	return nil
+}
+
 // ClusterCodec persists a ClusterArtifact.
 var ClusterCodec = JSONCodec[*ClusterArtifact]("cluster", 1)
 
@@ -289,6 +309,23 @@ type SelectionArtifact struct {
 	// TrainSteps and ValidSteps are the gap-free step counts used.
 	TrainSteps int `json:"train_steps"`
 	ValidSteps int `json:"valid_steps"`
+}
+
+// Validate checks that every selected index names one of Sensors.
+func (s *SelectionArtifact) Validate() error {
+	if s == nil {
+		return fmt.Errorf("artifact: empty selection payload")
+	}
+	for _, m := range s.Methods {
+		for _, cs := range m.Selected {
+			for _, i := range cs {
+				if i < 0 || i >= len(s.Sensors) {
+					return fmt.Errorf("artifact: %s selects sensor %d of %d", m.Method, i, len(s.Sensors))
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // SelectionCodec persists a SelectionArtifact.

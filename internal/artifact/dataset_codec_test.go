@@ -75,3 +75,43 @@ func TestDatasetCodecBitIdentical(t *testing.T) {
 		t.Error("re-encoded dataset differs from original encoding")
 	}
 }
+
+// datasetSink keeps BenchmarkDatasetCodec's decodes live.
+var datasetSink *dataset.Dataset
+
+// BenchmarkDatasetCodec encodes and decodes the 4-day, 2-minute-step
+// auditorium dataset of TestDatasetCodecBitIdentical and reports the
+// encoded size in bytes.
+func BenchmarkDatasetCodec(b *testing.B) {
+	cfg := dataset.DefaultConfig()
+	cfg.Days = 4
+	cfg.SimStep = 2 * time.Minute
+	d, err := dataset.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := DatasetCodec.Encode(&buf, d); err != nil {
+		b.Fatal(err)
+	}
+	encoded := append([]byte(nil), buf.Bytes()...)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := DatasetCodec.Encode(&buf, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(buf.Len()), "bytes")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if datasetSink, err = DatasetCodec.Decode(bytes.NewReader(encoded)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(encoded)), "bytes")
+	})
+}

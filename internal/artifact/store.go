@@ -419,12 +419,12 @@ func (s *Store) Open(_ context.Context, key Digest) (io.ReadCloser, error) {
 }
 
 // Put writes an artifact under key atomically: the encoder streams
-// into a temp file in the store root which is fsynced and renamed into
-// place only on success. An encoder error or a crash mid-write leaves
-// no partial artifact behind. The returned Info carries the content
-// digest and size of the stored bytes. With a budget, Put then evicts
-// least-recently-used artifacts (never the one just written) until the
-// store fits again.
+// into a temp file in the key's shard directory which is fsynced and
+// renamed into place only on success. An encoder error or a crash
+// mid-write leaves no partial artifact behind. The returned Info
+// carries the content digest and size of the stored bytes. With a
+// budget, Put then evicts least-recently-used artifacts (never the one
+// just written) until the store fits again.
 func (s *Store) Put(_ context.Context, key Digest, encode func(io.Writer) error) (Info, error) {
 	final, err := s.Path(key)
 	if err != nil {
