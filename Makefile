@@ -82,7 +82,8 @@ flake:
 # p x 2p top (p in 1..12) of arbitrary float64 bits.
 # FuzzModelCodecDecode / FuzzFrameCodecDecode / FuzzDatasetCodecDecode:
 # any bytes either fail to decode or decode to a value whose encoding
-# is a fixed point (Encode -> Decode -> Encode gives the same bytes);
+# is a fixed point (Encode -> Decode -> Encode gives the same bytes)
+# and that fails to decode with a non-whitespace byte appended;
 # nothing panics. A frame's or dataset's short cell block, trailing
 # bytes or a shape whose channels x n x 8 overflows int is rejected
 # before any cell is allocated.
@@ -92,6 +93,13 @@ flake:
 # FuzzEncodeEnvelope: for any codec name, version, payload string and
 # float, the artifact envelope written directly is byte for byte what
 # json.Encoder writes for it, or both fail.
+# FuzzLocalStoreTorn: after any truncation, overwrite or bit flip of a
+# published local artifact file, Stat returns the original Info or
+# misses, and Open plus ReadAll returns exactly the original payload or
+# an error; never other bytes without one.
+# FuzzHandlerPath: any path under /v1/artifacts/ that is not exactly 64
+# lowercase hex digits gets 400 on GET, HEAD and PUT without reaching
+# the backend; a valid key does reach it; nothing panics.
 # FuzzParseTraceRef: an accepted X-Auditherm-Trace ref has a 1-64-byte
 # printable-ASCII run id and re-parses from its wire form to itself.
 # FuzzTraceEncode: for any span name, attribute, event and error
@@ -119,6 +127,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeEnvelope$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzLocalStoreTorn$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPath$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceRef$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceEncode$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -202,7 +203,8 @@ func ParseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// readCloser adapts an in-memory reader to io.ReadCloser.
-type readCloser struct{ io.Reader }
+// readCloser adapts an in-memory reader to io.ReadCloser, keeping its
+// Size so a decoder can size its buffer once.
+type readCloser struct{ *bytes.Reader }
 
 func (readCloser) Close() error { return nil }

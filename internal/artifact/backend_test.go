@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,9 +42,10 @@ func TestValidateKey(t *testing.T) {
 }
 
 // TestStorePutDedupesPresentKey pins the content-addressed fast path:
-// re-Putting a key whose artifact file already exists skips the write
-// (the dedupe counter moves) while returning the same Info the first
-// Put did, and the on-disk bytes stay untouched.
+// re-Putting a key whose artifact file already exists and checks out
+// against its digest trailer skips the write (the dedupe counter
+// moves) while returning the same Info the first Put did, and the
+// on-disk file — payload and trailer — stays byte for byte untouched.
 func TestStorePutDedupesPresentKey(t *testing.T) {
 	ctx := context.Background()
 	st, err := Open(t.TempDir())
@@ -63,7 +65,7 @@ func TestStorePutDedupesPresentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := os.Stat(path)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +84,15 @@ func TestStorePutDedupesPresentKey(t *testing.T) {
 	if got := obs.Default.CounterValue("auditherm_artifact_local_deduped_puts_total"); got != base+1 {
 		t.Errorf("dedupe counter moved %d, want 1", got-base)
 	}
-	data, err := os.ReadFile(path)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The encoder may frame the payload; whatever the first Put wrote
-	// must survive the second verbatim.
-	if int64(len(data)) != before.Size() {
-		t.Errorf("artifact file changed size: %d -> %d", before.Size(), len(data))
+	if !bytes.Equal(after, before) {
+		t.Errorf("deduped Put rewrote the artifact file:\n%q\nwas\n%q", after, before)
 	}
-	if HashBytes(data) != first.Content {
-		t.Errorf("on-disk bytes no longer hash to the recorded content digest")
+	if want := int64(len(payload)) + trailerLen; int64(len(after)) != want {
+		t.Errorf("artifact file holds %d bytes, want payload + trailer = %d", len(after), want)
 	}
 }
 
@@ -524,39 +524,97 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRemoteDetectsCorruption covers both places a damaged remote
+// artifact is caught. A byte flipped on the server's disk fails the
+// server's own trailer check: the server drops the file and answers
+// 404. A byte flipped in flight fails the client's digest check.
 func TestRemoteDetectsCorruption(t *testing.T) {
 	ctx := context.Background()
-	srv, st, _ := startArtifactServer(t, "")
-	r, err := NewRemote(srv.URL, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	key := HashBytes([]byte("to-corrupt"))
 	payload := bytes.Repeat([]byte("abcd"), 256)
-	if _, err := r.PutBytes(ctx, key, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte on the server's disk behind its back.
-	path, err := st.Path(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := obs.Default.CounterValue("auditherm_artifact_remote_verify_failures_total")
-	if _, _, err := r.Fetch(ctx, key); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("corrupted fetch returned %v, want digest mismatch", err)
-	}
-	if after := obs.Default.CounterValue("auditherm_artifact_remote_verify_failures_total"); after != before+1 {
-		t.Errorf("verify-failure counter %d, want %d", after, before+1)
-	}
+
+	t.Run("server disk", func(t *testing.T) {
+		srv, st, _ := startArtifactServer(t, "")
+		r, err := NewRemote(srv.URL, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		key := HashBytes([]byte("to-corrupt"))
+		if _, err := r.PutBytes(ctx, key, payload); err != nil {
+			t.Fatal(err)
+		}
+		// Flip one payload byte on the server's disk behind its back.
+		path, err := st.Path(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(payload)/2] ^= 0x01
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		torn := obs.Default.CounterValue("auditherm_artifact_local_torn_total")
+		if _, _, err := r.Fetch(ctx, key); !IsNotFound(err) {
+			t.Fatalf("fetch of an artifact damaged on the server returned %v, want not-found", err)
+		}
+		if got := obs.Default.CounterValue("auditherm_artifact_local_torn_total"); got != torn+1 {
+			t.Errorf("torn counter moved %d, want 1", got-torn)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("server kept the torn artifact file (err=%v)", err)
+		}
+	})
+
+	t.Run("in transit", func(t *testing.T) {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		h := NewHandler(st, "")
+		// Flip one byte of every GET body on its way to the client.
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			if len(body) > 0 {
+				body[len(body)/2] ^= 0x01
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(body)
+		}))
+		defer srv.Close()
+		r, err := NewRemote(srv.URL, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		key := HashBytes([]byte("corrupt-in-flight"))
+		if _, err := r.PutBytes(ctx, key, payload); err != nil {
+			t.Fatal(err)
+		}
+		before := obs.Default.CounterValue("auditherm_artifact_remote_verify_failures_total")
+		if _, _, err := r.Fetch(ctx, key); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Fatalf("fetch corrupted in flight returned %v, want digest mismatch", err)
+		}
+		if after := obs.Default.CounterValue("auditherm_artifact_remote_verify_failures_total"); after != before+1 {
+			t.Errorf("verify-failure counter %d, want %d", after, before+1)
+		}
+		// The server's copy is intact: the damage was the wire's.
+		if _, ok, err := st.Stat(ctx, key); err != nil || !ok {
+			t.Errorf("server artifact after a corrupted transfer: ok=%v err=%v", ok, err)
+		}
+	})
 }
 
 func TestRemotePutRejectsCorruptedUpload(t *testing.T) {
@@ -596,6 +654,61 @@ func TestHandlerRejectsMalformedDigests(t *testing.T) {
 		}
 	}
 	_ = st
+}
+
+// countingBackend is a Backend that counts its calls and stores
+// nothing: Stat and Open miss, Put discards what it encodes.
+type countingBackend struct{ calls int }
+
+func (b *countingBackend) Name() string { return "counting" }
+func (b *countingBackend) Close() error { return nil }
+func (b *countingBackend) Has(context.Context, Digest) bool {
+	b.calls++
+	return false
+}
+func (b *countingBackend) Stat(context.Context, Digest) (Info, bool, error) {
+	b.calls++
+	return Info{}, false, nil
+}
+func (b *countingBackend) Open(_ context.Context, key Digest) (io.ReadCloser, error) {
+	b.calls++
+	return nil, &notFoundError{key: key, tier: "counting"}
+}
+func (b *countingBackend) Put(_ context.Context, key Digest, encode func(io.Writer) error) (Info, error) {
+	b.calls++
+	return Info{Key: key}, encode(io.Discard)
+}
+
+// FuzzHandlerPath: for any path under /v1/artifacts/, GET, HEAD and
+// PUT either reach the backend with a valid key, or — for anything but
+// exactly 64 lowercase hex digits — get 400 without touching it.
+// Nothing panics. The seed corpus holds a valid key, the same key in
+// uppercase, 63 and 65 digits, "..", "%2e%2e", a nested slash and an
+// empty key.
+func FuzzHandlerPath(f *testing.F) {
+	f.Fuzz(func(t *testing.T, key string) {
+		for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPut} {
+			b := &countingBackend{}
+			h := NewHandler(b, "")
+			req := &http.Request{
+				Method: method,
+				URL:    &url.URL{Path: artifactsPathPrefix + key},
+				Header: http.Header{},
+				Body:   io.NopCloser(strings.NewReader("body")),
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if ValidateKey(Digest(key)) != nil {
+				if rec.Code != http.StatusBadRequest || b.calls != 0 {
+					t.Fatalf("%s %q: status %d after %d backend calls, want 400 and none", method, key, rec.Code, b.calls)
+				}
+				continue
+			}
+			if rec.Code == http.StatusBadRequest || b.calls == 0 {
+				t.Fatalf("%s valid key %q: status %d after %d backend calls", method, key, rec.Code, b.calls)
+			}
+		}
+	})
 }
 
 func TestHandlerBearerAuth(t *testing.T) {

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,10 +60,33 @@ func encodeEnvelope(w io.Writer, name string, version int, data any) error {
 	return nil
 }
 
-// decodeEnvelope reads an envelope and checks its identity.
+// readAll reads r to EOF, where the local store checks an artifact's
+// digest trailer. A reader that reports its Size — the local store's
+// payload reader, the bytes.Reader the memory tier hands out — gets its
+// buffer allocated once instead of grown by reallocation.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if s, ok := r.(interface{ Size() int64 }); ok && s.Size() >= 0 && s.Size() < math.MaxInt32 {
+		buf.Grow(int(s.Size()) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// decodeEnvelope reads r to EOF and parses it as one envelope.
 func decodeEnvelope(r io.Reader, name string, version int) (json.RawMessage, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: reading %s: %w", name, err)
+	}
+	return parseEnvelope(data, name, version)
+}
+
+// parseEnvelope parses data as one envelope, with nothing but
+// whitespace after it, and checks its identity.
+func parseEnvelope(data []byte, name string, version int) (json.RawMessage, error) {
 	var env envelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("artifact: decoding %s envelope: %w", name, err)
 	}
 	if env.Codec != name {

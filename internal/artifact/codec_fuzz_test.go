@@ -16,7 +16,8 @@ import (
 )
 
 // FuzzModelCodecDecode: any bytes either fail to decode as a model or
-// decode to one whose encoding is a fixed point. Nothing panics. The
+// decode to one whose encoding is a fixed point, and that no longer
+// decodes with a non-whitespace byte appended. Nothing panics. The
 // seed corpus holds a real first- and second-order model and payloads
 // whose dimensions overflow int.
 func FuzzModelCodecDecode(f *testing.F) {
@@ -45,8 +46,8 @@ func FuzzDatasetCodecDecode(f *testing.F) {
 
 // FuzzClusterCodecDecode: any bytes either fail to decode as a
 // clustering or decode to one whose members, means and member sensor
-// names can be read without panicking and whose encoding is a fixed
-// point. The seed corpus holds a real 3-cluster artifact and payloads
+// names can be read without panicking, whose encoding is a fixed point,
+// and that no longer decodes with a non-whitespace byte appended. The seed corpus holds a real 3-cluster artifact and payloads
 // with k out of range, an assignment out of range and missing means.
 func FuzzClusterCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -170,12 +171,18 @@ func FuzzEncodeEnvelope(f *testing.F) {
 }
 
 // checkFixedPoint decodes data with c and, if that succeeds, requires
+// a non-whitespace byte appended to data to fail the decode, and
 // Encode → Decode → Encode to reproduce the first encoding byte for
 // byte.
 func checkFixedPoint[T any](t *testing.T, c Codec[T], data []byte) {
 	v, err := c.Decode(bytes.NewReader(data))
 	if err != nil {
 		return
+	}
+	for _, b := range []byte("x0}\x00") {
+		if _, err := c.Decode(bytes.NewReader(append(data[:len(data):len(data)], b))); err == nil {
+			t.Fatalf("%s decoded with %q appended", c.Name, b)
+		}
 	}
 	var first, second bytes.Buffer
 	if err := c.Encode(&first, v); err != nil {

@@ -74,7 +74,7 @@ type cellBlock struct {
 // block's shape is checked, and the blocks must fill those bytes
 // exactly, before any cell is allocated.
 func decodeFrames(r io.Reader, name string, version int, head any, blocks ...cellBlock) ([]*timeseries.Frame, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: reading %s: %w", name, err)
 	}
@@ -82,7 +82,7 @@ func decodeFrames(r io.Reader, name string, version int, head any, blocks ...cel
 	if !ok {
 		return nil, fmt.Errorf("artifact: %s envelope has no line end", name)
 	}
-	raw, err := decodeEnvelope(bytes.NewReader(line), name, version)
+	raw, err := parseEnvelope(line, name, version)
 	if err != nil {
 		return nil, err
 	}

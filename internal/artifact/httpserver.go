@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Handler serves the content-addressed /v1/artifacts/{digest} protocol
@@ -26,27 +24,21 @@ import (
 // token configured, requests must carry "Authorization: Bearer
 // <token>" or get 401; comparison is constant-time.
 //
-// GET responds with the content digest the server recorded at Put time
-// (falling back to hashing the stored bytes for artifacts that predate
-// this process), so a client can detect server-side corruption: bytes
-// that no longer hash to the recorded digest fail the client's check.
+// GET and HEAD respond with the content digest the backend's Stat
+// reports. The local store checks a file against its digest trailer,
+// so an artifact damaged on the server's disk is a 404; the client
+// checks the bytes it receives against the digest, so damage in
+// transit fails its read.
 type Handler struct {
 	backend Backend
 	token   string
-
-	cmu      sync.Mutex
-	contents map[Digest]Digest // key -> content digest recorded at Put
 }
 
 // NewHandler builds the artifact endpoint over backend. token == ""
 // disables auth (loopback development); any other value is required as
 // a bearer token.
 func NewHandler(backend Backend, token string) *Handler {
-	return &Handler{
-		backend:  backend,
-		token:    token,
-		contents: make(map[Digest]Digest),
-	}
+	return &Handler{backend: backend, token: token}
 }
 
 // PathPrefix is the mux pattern the handler expects to be mounted at.
@@ -91,33 +83,8 @@ func (h *Handler) authorized(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(strings.TrimPrefix(auth, prefix)), []byte(h.token)) == 1
 }
 
-// content returns the authoritative content digest for key: the
-// Put-time record when this process saw the Put, else the backend's
-// Stat (which hashes the stored bytes — correct for intact artifacts,
-// and the client's verify still catches in-flight corruption).
-func (h *Handler) content(ctx context.Context, key Digest) (Info, bool, error) {
-	h.cmu.Lock()
-	content, ok := h.contents[key]
-	h.cmu.Unlock()
-	if ok {
-		info, present, err := h.backend.Stat(ctx, key)
-		if err != nil || !present {
-			return Info{}, present, err
-		}
-		info.Content = content
-		return info, true, nil
-	}
-	return h.backend.Stat(ctx, key)
-}
-
-func (h *Handler) recordContent(key, content Digest) {
-	h.cmu.Lock()
-	h.contents[key] = content
-	h.cmu.Unlock()
-}
-
 func (h *Handler) get(w http.ResponseWriter, r *http.Request, key Digest) {
-	info, ok, err := h.content(r.Context(), key)
+	info, ok, err := h.backend.Stat(r.Context(), key)
 	if err != nil {
 		httpJSONError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -170,7 +137,6 @@ func (h *Handler) put(w http.ResponseWriter, r *http.Request, key Digest) {
 		httpJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	h.recordContent(key, info.Content)
 	artifactReceivedBytesTotal.Add(info.Bytes)
 	w.Header().Set(ContentHeader, string(info.Content))
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

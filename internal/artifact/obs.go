@@ -32,7 +32,9 @@ var (
 	localPutBytesTotal = obs.NewCounter("auditherm_artifact_local_put_bytes_total",
 		"Bytes written to the local sharded store.")
 	localDedupedPutsTotal = obs.NewCounter("auditherm_artifact_local_deduped_puts_total",
-		"Puts satisfied by an already-present artifact file (write + fsync skipped).")
+		"Puts satisfied by an already-present artifact file that checked out against its digest trailer (write skipped).")
+	localTornTotal = obs.NewCounter("auditherm_artifact_local_torn_total",
+		"Torn local artifacts (short, or not matching their digest trailer) found on read and unlinked; each reads as a miss.")
 	localBytes = obs.NewGauge("auditherm_artifact_local_bytes",
 		"Bytes currently accounted in the local store's eviction index (budgeted stores only).")
 	sweepOrphansTotal = obs.NewCounter("auditherm_artifact_sweep_orphans_total",
@@ -47,7 +49,7 @@ var (
 	remotePutBytesTotal = obs.NewCounter("auditherm_artifact_remote_put_bytes_total",
 		"Artifact bytes uploaded to the remote backend.")
 	remoteVerifyFailuresTotal = obs.NewCounter("auditherm_artifact_remote_verify_failures_total",
-		"Remote reads rejected because the bytes did not hash to the recorded content digest.")
+		"Remote reads rejected because the bytes did not hash to the content digest the server sent.")
 	remoteCoalescedTotal = obs.NewCounter("auditherm_artifact_remote_coalesced_total",
 		"Remote fetches that joined an identical in-flight request (singleflight).")
 

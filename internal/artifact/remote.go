@@ -17,9 +17,9 @@ import (
 // Protocol headers for the content-addressed artifact endpoint.
 const (
 	// ContentHeader carries the SHA-256 of the artifact bytes: the
-	// server sends it on GET/HEAD (from its Put-time record) so the
-	// client can verify every read, and the client sends it on PUT so
-	// the server can reject a corrupted upload.
+	// server sends it on GET/HEAD (the digest its store's Stat
+	// reports) so the client can verify every read, and the client
+	// sends it on PUT so the server can reject a corrupted upload.
 	ContentHeader = "X-Auditherm-Content"
 )
 
@@ -30,7 +30,7 @@ const artifactsPathPrefix = "/v1/artifacts/"
 // Remote is the content-addressed HTTP backend: GET/PUT against
 // another process's /v1/artifacts/{digest} endpoint (auditherm serve
 // exposes one over its own store). Every read is SHA-256-verified
-// against the server's recorded content digest — keys and contents are
+// against the content digest the server sends — keys and contents are
 // both digests, so integrity checking costs one hash. Concurrent
 // fetches of the same key are singleflight-deduped: one request goes
 // to the wire, every waiter shares its (verified) bytes.
@@ -143,9 +143,9 @@ func (r *Remote) Open(ctx context.Context, key Digest) (io.ReadCloser, error) {
 }
 
 // Fetch GETs the artifact bytes, verifying their SHA-256 against the
-// server's recorded content digest; a flipped bit anywhere — on the
-// remote disk, in transit — fails the read instead of poisoning the
-// caller's cache. Concurrent fetches of one key share a single wire
+// content digest the server sends; a flipped bit in transit fails the
+// read instead of poisoning the caller's cache (one on the server's
+// disk already fails the server's own trailer check, a 404). Concurrent fetches of one key share a single wire
 // request. The returned slice is shared across waiters; do not mutate.
 //
 // Every caller gets its own "artifact/remote.get" client span —
@@ -235,7 +235,7 @@ func (r *Remote) fetch(ctx context.Context, sp *obs.Span, key Digest) (data []by
 	}
 	if got := HashBytes(data); got != want {
 		remoteVerifyFailuresTotal.Inc()
-		return nil, Info{}, serverRun, fmt.Errorf("artifact: remote get %s: content digest mismatch: got %s, server recorded %s (corrupt remote artifact or transport)",
+		return nil, Info{}, serverRun, fmt.Errorf("artifact: remote get %s: content digest mismatch: got %s, server sent %s (corrupt remote artifact or transport)",
 			key.Short(), got.Short(), want.Short())
 	}
 	remoteHitsTotal.Inc()

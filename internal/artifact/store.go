@@ -15,18 +15,26 @@
 // (Store), a remote shared cache (Remote) and their read-through
 // composition (Tiered).
 //
-// Writes are crash-safe: every Put streams through a temp file in the
-// store root and is renamed into place only once fully written, so a
-// killed run never leaves a corrupt partial artifact — re-invoking the
-// run resumes from the last completed stage.
+// The local store is a cache: every artifact can be recomputed from its
+// stage function. A Put streams through a temp file in the key's shard
+// directory and is renamed into place only once fully written, so a
+// live reader never sees a partial artifact, and a killed run loses
+// nothing (the page cache outlives the process) — re-invoking the run
+// resumes from the last completed stage. Puts are not fsynced. Instead
+// every artifact file ends with a trailer holding its payload's
+// SHA-256, and every read checks it: an artifact that an OS crash or a
+// power loss tore, or any other damage, reads as a miss, is unlinked
+// and is recomputed to the same bytes. No torn artifact is served.
 package artifact
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -111,6 +119,14 @@ type Info struct {
 	Bytes int64
 }
 
+// trailerMagic opens the trailer that ends every local artifact file:
+// the magic, then the payload's raw SHA-256. Info describes the
+// payload alone, so the trailer moves no digest.
+const trailerMagic = "\x00sha256\x00"
+
+// trailerLen is the size of that trailer.
+const trailerLen = int64(len(trailerMagic) + sha256.Size)
+
 // numShards is the two-hex-prefix shard fan-out: artifacts live under
 // <root>/<key[:2]>/<key>, and one mutex guards each shard's membership
 // (rename-into-place and evict-unlink), so concurrent engines contend
@@ -119,8 +135,9 @@ const numShards = 256
 
 // LocalOptions parameterizes OpenLocal.
 type LocalOptions struct {
-	// Budget bounds the store's total artifact bytes; past it the
-	// least-recently-used artifacts are evicted after each Put. 0
+	// Budget bounds the store's total artifact file bytes (payloads
+	// plus their trailers); past it the least-recently-used artifacts
+	// are evicted after each Put. 0
 	// disables eviction (the store grows without bound, and no index
 	// is maintained). The artifact just written by a Put is never its
 	// own eviction victim, so the budget holds whenever it is at least
@@ -129,9 +146,10 @@ type LocalOptions struct {
 }
 
 // Store is the sharded local disk backend: content-addressed artifacts
-// under <root>/<key[:2]>/<key>, temp files written in the root so the
-// final rename stays on one filesystem. Writes are independent and
-// atomic; per-shard locks serialize only same-shard membership changes.
+// under <root>/<key[:2]>/<key>, each file the payload plus its digest
+// trailer, temp files written in the shard directory so the final
+// rename stays on one filesystem. Writes are independent and atomic;
+// per-shard locks serialize only same-shard membership changes.
 //
 // With a byte Budget the store keeps an in-memory LRU index (seeded
 // from file mtimes at Open, refreshed on every access) and evicts
@@ -163,7 +181,7 @@ type storeEntry struct {
 	bytes int64
 }
 
-// tempPrefix names in-progress atomic writes; see writeAtomic.
+// tempPrefix names in-progress atomic writes; see writeAtomicStaged.
 const tempPrefix = ".tmp-artifact-"
 
 // StaleTempAge is the safety window for the orphan sweep on Open: a
@@ -361,7 +379,9 @@ func (s *Store) touch(key Digest) {
 	s.emu.Unlock()
 }
 
-// Has reports whether an artifact for key is present.
+// Has reports whether an artifact file for key is present. It does not
+// verify the file: a torn artifact is present here and absent to Stat
+// and Open.
 func (s *Store) Has(_ context.Context, key Digest) bool {
 	path, err := s.Path(key)
 	if err != nil {
@@ -375,24 +395,13 @@ func (s *Store) Has(_ context.Context, key Digest) bool {
 	return true
 }
 
-// Stat hashes the stored artifact for key and returns its info, or
-// ok=false when absent.
+// Stat reads the stored artifact for key through its trailer check and
+// returns its info, or ok=false when it is absent or torn (a torn file
+// is unlinked first, so the stage recomputes).
 func (s *Store) Stat(_ context.Context, key Digest) (Info, bool, error) {
-	path, err := s.Path(key)
+	info, err := s.check(key)
 	if err != nil {
-		return Info{}, false, err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			localMissesTotal.Inc()
-			return Info{}, false, nil
-		}
-		return Info{}, false, err
-	}
-	content, err := HashFile(path)
-	if err != nil {
-		if os.IsNotExist(err) { // evicted between stat and open
+		if IsNotFound(err) {
 			localMissesTotal.Inc()
 			return Info{}, false, nil
 		}
@@ -400,12 +409,39 @@ func (s *Store) Stat(_ context.Context, key Digest) (Info, bool, error) {
 	}
 	localHitsTotal.Inc()
 	s.touch(key)
-	return Info{Key: key, Content: content, Bytes: st.Size()}, true, nil
+	return info, true, nil
 }
 
-// Open returns a reader over the artifact stored for key. The
+// Open returns a reader over the payload stored for key, which checks
+// the trailer when it reaches EOF: a torn artifact fails that read with
+// an error IsNotFound accepts, after the file is unlinked. The
 // descriptor stays valid even if the key is evicted mid-read.
 func (s *Store) Open(_ context.Context, key Digest) (io.ReadCloser, error) {
+	r, err := s.openPayload(key)
+	if err != nil {
+		return nil, err
+	}
+	s.touch(key)
+	return r, nil
+}
+
+// check reads key's whole payload through its trailer check and returns
+// its info.
+func (s *Store) check(key Digest) (Info, error) {
+	r, err := s.openPayload(key)
+	if err != nil {
+		return Info{}, err
+	}
+	defer r.Close()
+	if _, err := io.Copy(io.Discard, r); err != nil {
+		return Info{}, err
+	}
+	return Info{Key: key, Content: r.content, Bytes: r.size}, nil
+}
+
+// openPayload opens key's artifact file for a checked read. A file too
+// short to hold a trailer is torn, and is dropped here.
+func (s *Store) openPayload(key Digest) (*payloadReader, error) {
 	path, err := s.Path(key)
 	if err != nil {
 		return nil, err
@@ -414,17 +450,118 @@ func (s *Store) Open(_ context.Context, key Digest) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: opening %s: %w", key.Short(), err)
 	}
-	s.touch(key)
-	return f, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("artifact: opening %s: %w", key.Short(), err)
+	}
+	r := &payloadReader{s: s, key: key, f: f, fi: fi, h: sha256.New(), size: fi.Size() - trailerLen}
+	if r.size < 0 {
+		err := r.torn("shorter than a trailer")
+		f.Close()
+		return nil, err
+	}
+	r.left = r.size
+	return r, nil
+}
+
+// payloadReader reads a local artifact's payload, hashing it, and at
+// EOF checks the trailer against that hash.
+type payloadReader struct {
+	s    *Store
+	key  Digest
+	f    *os.File
+	fi   os.FileInfo // of f, for dropTorn
+	h    hash.Hash
+	size int64 // payload bytes
+	left int64 // payload bytes not yet read
+	// content is the payload's digest, set once the trailer matched;
+	// end is what every Read returns after the payload.
+	content Digest
+	end     error
+}
+
+// Size reports the payload's length, so a decoder can size its buffer
+// once.
+func (r *payloadReader) Size() int64 { return r.size }
+
+func (r *payloadReader) Read(p []byte) (int, error) {
+	if r.left == 0 {
+		if r.end == nil {
+			r.end = r.checkTrailer()
+		}
+		return 0, r.end
+	}
+	if int64(len(p)) > r.left {
+		p = p[:r.left]
+	}
+	n, err := r.f.Read(p)
+	r.h.Write(p[:n])
+	r.left -= int64(n)
+	if err == io.EOF {
+		r.end = r.torn("cut short after open")
+		err = r.end
+	}
+	return n, err
+}
+
+// checkTrailer reads the trailer after the payload and returns io.EOF
+// when it holds the payload's digest.
+func (r *payloadReader) checkTrailer() error {
+	var trailer [trailerLen]byte
+	if _, err := io.ReadFull(r.f, trailer[:]); err != nil {
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			return r.torn("trailer cut short after open")
+		}
+		return fmt.Errorf("artifact: reading %s: %w", r.key.Short(), err)
+	}
+	sum := r.h.Sum(nil)
+	switch {
+	case string(trailer[:len(trailerMagic)]) != trailerMagic:
+		return r.torn("no digest trailer")
+	case !bytes.Equal(trailer[len(trailerMagic):], sum):
+		return r.torn("payload does not match its digest trailer")
+	}
+	r.content = Digest(hex.EncodeToString(sum))
+	return io.EOF
+}
+
+// torn drops the artifact and returns the error its read fails with.
+func (r *payloadReader) torn(why string) error {
+	r.s.dropTorn(r.key, r.fi)
+	return fmt.Errorf("artifact: %s torn (%s): %w", r.key.Short(), why, &notFoundError{key: r.key, tier: "local"})
+}
+
+func (r *payloadReader) Close() error { return r.f.Close() }
+
+// dropTorn unlinks key's torn artifact file and drops it from the
+// eviction index. It holds the shard lock, and unlinks only while the
+// path still names fi, the file that failed the check: a concurrent Put
+// of the same key may just have renamed a complete artifact into place.
+func (s *Store) dropTorn(key Digest, fi os.FileInfo) {
+	path := filepath.Join(s.root, string(key[:2]), string(key))
+	mu := s.shardFor(key)
+	mu.Lock()
+	defer mu.Unlock()
+	if cur, err := os.Lstat(path); err != nil || !os.SameFile(cur, fi) {
+		return
+	}
+	if os.Remove(path) != nil {
+		return
+	}
+	localTornTotal.Inc()
+	s.unindex(key)
 }
 
 // Put writes an artifact under key atomically: the encoder streams
-// into a temp file in the key's shard directory which is fsynced and
-// renamed into place only on success. An encoder error or a crash
-// mid-write leaves no partial artifact behind. The returned Info
-// carries the content digest and size of the stored bytes. With a
-// budget, Put then evicts least-recently-used artifacts (never the one
-// just written) until the store fits again.
+// into a temp file in the key's shard directory, the payload's digest
+// trailer follows it, and the file is renamed into place only on
+// success. It is not fsynced: an encoder error or a killed process
+// leaves no partial artifact behind, and an artifact that an OS crash
+// tears reads as a miss. The returned Info carries the content digest
+// and size of the payload. With a budget, Put then evicts
+// least-recently-used artifacts (never the one just written) until the
+// store's files fit again.
 func (s *Store) Put(_ context.Context, key Digest, encode func(io.Writer) error) (Info, error) {
 	final, err := s.Path(key)
 	if err != nil {
@@ -433,21 +570,18 @@ func (s *Store) Put(_ context.Context, key Digest, encode func(io.Writer) error)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return Info{}, fmt.Errorf("artifact: creating shard dir: %w", err)
 	}
-	// Content-addressed dedupe: an artifact file on disk is always
-	// complete (publish is an atomic rename) and the key names its
-	// payload, so re-Putting a present key buys nothing — hash the
-	// existing bytes for the caller's Info and skip the write + fsync,
-	// the way git leaves already-present objects alone. If the file
-	// vanishes mid-hash (a concurrent eviction), fall through and write
-	// it fresh.
-	if fi, statErr := os.Stat(final); statErr == nil && fi.Mode().IsRegular() {
-		if content, hashErr := HashFile(final); hashErr == nil {
-			now := time.Now()
-			_ = os.Chtimes(final, now, now) // best-effort recency for reopened stores
-			s.touch(key)
-			localDedupedPutsTotal.Inc()
-			return Info{Key: key, Content: content, Bytes: fi.Size()}, nil
-		}
+	// Content-addressed dedupe: the key names its payload, so
+	// re-Putting a present key whose file checks out against its
+	// trailer buys nothing — skip the write, the way git leaves
+	// already-present objects alone. A torn file was dropped by the
+	// check, and one that vanished mid-check (a concurrent eviction) is
+	// gone: either way write it fresh.
+	if info, err := s.check(key); err == nil {
+		now := time.Now()
+		_ = os.Chtimes(final, now, now) // best-effort recency for reopened stores
+		s.touch(key)
+		localDedupedPutsTotal.Inc()
+		return info, nil
 	}
 	info := Info{Key: key}
 	// Encode outside the shard lock — only the publish rename and the
@@ -456,15 +590,17 @@ func (s *Store) Put(_ context.Context, key Digest, encode func(io.Writer) error)
 	// and publish rename then contend on that shard's directory inode
 	// alone, so concurrent Puts to different shards overlap fully in
 	// the kernel.
-	err = writeAtomicStaged(filepath.Dir(final), final, func(w io.Writer) error {
+	err = writeAtomicStaged(filepath.Dir(final), final, false, func(w io.Writer) error {
 		h := sha256.New()
 		cw := &countWriter{w: io.MultiWriter(w, h)}
 		if err := encode(cw); err != nil {
 			return err
 		}
-		info.Content = Digest(hex.EncodeToString(h.Sum(nil)))
+		trailer := h.Sum([]byte(trailerMagic))
+		info.Content = Digest(hex.EncodeToString(trailer[len(trailerMagic):]))
 		info.Bytes = cw.n
-		return nil
+		_, err := w.Write(trailer)
+		return err
 	}, func(publish func() error) error {
 		mu := s.shardFor(key)
 		mu.Lock()
@@ -472,7 +608,7 @@ func (s *Store) Put(_ context.Context, key Digest, encode func(io.Writer) error)
 		if err := publish(); err != nil {
 			return err
 		}
-		s.record(key, info.Bytes)
+		s.record(key, info.Bytes+trailerLen)
 		return nil
 	})
 	if err != nil {
@@ -483,21 +619,43 @@ func (s *Store) Put(_ context.Context, key Digest, encode func(io.Writer) error)
 	return info, nil
 }
 
-// record updates the eviction index after a publish (shard lock held).
+// record updates the eviction index after a publish (shard lock held)
+// with the file's bytes, payload plus trailer.
 func (s *Store) record(key Digest, bytes int64) {
 	if s.budget <= 0 {
 		return
 	}
 	s.emu.Lock()
 	if el, ok := s.index[key]; ok {
-		// Content-addressed overwrite: same key, same bytes.
+		// Content-addressed overwrite: same key, same payload (the file
+		// it replaced may have been torn, so take the new size).
 		s.order.MoveToFront(el)
+		e := el.Value.(*storeEntry)
+		s.total += bytes - e.bytes
+		e.bytes = bytes
 	} else {
 		s.index[key] = s.order.PushFront(&storeEntry{key: key, bytes: bytes})
 		s.total += bytes
 	}
 	localBytes.Set(float64(s.total))
 	s.emu.Unlock()
+}
+
+// unindex drops key from the eviction index (shard lock held) and
+// returns the bytes it accounted, or ok=false if it was not indexed.
+func (s *Store) unindex(key Digest) (int64, bool) {
+	s.emu.Lock()
+	defer s.emu.Unlock()
+	el, ok := s.index[key]
+	if !ok {
+		return 0, false
+	}
+	n := el.Value.(*storeEntry).bytes
+	s.order.Remove(el)
+	delete(s.index, key)
+	s.total -= n
+	localBytes.Set(float64(s.total))
+	return n, true
 }
 
 // evictOver removes least-recently-used artifacts until total <=
@@ -529,55 +687,41 @@ func (s *Store) evictOver(keep Digest) {
 
 		mu := s.shardFor(victim.key)
 		mu.Lock()
-		s.emu.Lock()
-		// Re-check under both locks: a concurrent touch/Put may have
-		// revived the entry or another evictor may have beaten us.
-		el, ok := s.index[victim.key]
+		// Re-check under the shard lock: another evictor or a torn-drop
+		// may have beaten us.
+		freed, ok := s.unindex(victim.key)
 		if !ok {
-			s.emu.Unlock()
 			mu.Unlock()
 			continue
 		}
-		entry := el.Value.(*storeEntry)
-		s.order.Remove(el)
-		delete(s.index, victim.key)
-		s.total -= entry.bytes
-		localBytes.Set(float64(s.total))
-		s.emu.Unlock()
 		path := filepath.Join(s.root, string(victim.key[:2]), string(victim.key))
 		if os.Remove(path) == nil {
 			localEvictionsTotal.Inc()
-			localEvictedBytesTotal.Add(entry.bytes)
+			localEvictedBytesTotal.Add(freed)
 		}
 		mu.Unlock()
 	}
 }
 
 // WriteFileAtomic writes a file through the store's temp-then-rename
-// path without content addressing: the CLI-facing exports (saved
-// models, dataset CSVs) use it so a crash mid-write cannot leave a
-// corrupt partial file at the destination. The temp file lives next to
-// the destination so the rename stays on one filesystem.
+// path without content addressing or a trailer, fsyncing it before the
+// rename: the CLI-facing exports (saved models, dataset CSVs, fleet
+// reports) use it so a crash mid-write cannot leave a corrupt partial
+// file at the destination. The
+// temp file lives next to the destination so the rename stays on one
+// filesystem.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	if dir == "" {
-		dir = "."
-	}
-	return writeAtomic(dir, path, write)
-}
-
-// writeAtomic streams write into a temp file under tmpDir and renames
-// it to final on success. On any error the temp file is removed.
-func writeAtomic(tmpDir, final string, write func(io.Writer) error) error {
-	return writeAtomicStaged(tmpDir, final, write, func(publish func() error) error {
+	return writeAtomicStaged(filepath.Dir(path), path, true, write, func(publish func() error) error {
 		return publish()
 	})
 }
 
-// writeAtomicStaged is writeAtomic with the publish rename handed to
-// wrap, so a caller can take a lock around just the rename (and its
-// own bookkeeping) while the encode streams unlocked.
-func writeAtomicStaged(tmpDir, final string, write func(io.Writer) error, wrap func(publish func() error) error) error {
+// writeAtomicStaged streams write into a temp file under tmpDir, fsyncs
+// it when durable, and renames it to final through wrap, so a caller
+// can take a lock around just the rename (and its own bookkeeping)
+// while the encode streams unlocked. On any error the temp file is
+// removed.
+func writeAtomicStaged(tmpDir, final string, durable bool, write func(io.Writer) error, wrap func(publish func() error) error) error {
 	tmp, err := os.CreateTemp(tmpDir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("artifact: creating temp file: %w", err)
@@ -592,8 +736,10 @@ func writeAtomicStaged(tmpDir, final string, write func(io.Writer) error, wrap f
 	if err := write(tmp); err != nil {
 		return fmt.Errorf("artifact: encoding %s: %w", filepath.Base(final), err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("artifact: syncing temp file: %w", err)
+	if durable {
+		if err := tmp.Sync(); err != nil {
+			return fmt.Errorf("artifact: syncing temp file: %w", err)
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("artifact: closing temp file: %w", err)

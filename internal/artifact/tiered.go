@@ -132,7 +132,9 @@ func tierBytes(ctx context.Context, tier Backend, key Digest) ([]byte, Info, boo
 			return nil, Info{}, false, err
 		}
 		defer rc.Close()
-		data, err := io.ReadAll(rc)
+		// Read to EOF, where the local store checks the trailer: a
+		// torn artifact fails here, a miss, and is never promoted.
+		data, err := readAll(rc)
 		if err != nil {
 			return nil, Info{}, false, err
 		}

@@ -413,8 +413,9 @@ func (n *node) computeValue(ctx context.Context) error {
 // when the backend offers a value cache, so repeated warm requests
 // across engines decode once per process instead of once per request;
 // memoized values are shared and must be treated as immutable. An
-// artifact evicted between the hit and this decode simply recomputes
-// from the stage function — eviction can cost work, never correctness.
+// artifact evicted between the hit and this decode, or torn under it,
+// simply recomputes from the stage function — eviction and damage can
+// cost work, never correctness.
 func (n *node) value(ctx context.Context) (any, error) {
 	n.vmu.Lock()
 	defer n.vmu.Unlock()
@@ -442,6 +443,9 @@ func (n *node) value(ctx context.Context) (any, error) {
 	defer rc.Close()
 	v, err := n.decode(rc)
 	if err != nil {
+		if artifact.IsNotFound(err) { // torn: the store dropped it mid-read
+			return n.recomputeEvicted(ctx)
+		}
 		return nil, fmt.Errorf("pipeline: stage %s rehydrating: %w", n.name, err)
 	}
 	decodesTotal.Inc()
@@ -455,8 +459,10 @@ func (n *node) value(ctx context.Context) (any, error) {
 }
 
 // recomputeEvicted regenerates a stage value whose artifact was
-// evicted between the cache hit and the lazy decode (vmu held). The
-// recompute is not re-Put: the evictor reclaimed the space on purpose.
+// evicted, or found torn and dropped, between the cache hit and the
+// lazy decode (vmu held). The recompute is not re-Put: the evictor
+// reclaimed the space on purpose, and a dropped artifact is a miss for
+// the next run to refill.
 func (n *node) recomputeEvicted(ctx context.Context) (any, error) {
 	evictedRecomputesTotal.Inc()
 	v, err := n.compute(ctx)

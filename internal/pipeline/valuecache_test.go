@@ -128,68 +128,86 @@ func TestValueCacheDropsDecodeAllocs(t *testing.T) {
 }
 
 // TestEvictedArtifactRecomputes covers the eviction-safety contract at
-// the engine level: an artifact evicted between the cache hit (Stat)
-// and the lazy decode (Open) recomputes from the stage function — the
-// consumer sees the right value, never an error.
+// the engine level: an artifact evicted, or torn, between the cache hit
+// (Stat) and the lazy decode (Open) recomputes from the stage function
+// — the consumer sees the right value, never an error. A torn artifact
+// fails the store's trailer check at the end of the decode's read.
 func TestEvictedArtifactRecomputes(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	st, err := artifact.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	runs := 0
-	defineA := func(e *Engine) *Node[int] {
-		return Define(e, "a", intCodec, map[string]string{"v": "7"}, nil,
-			func(ctx context.Context) (int, error) { runs++; return 7, nil })
-	}
-	cold, err := New(Options{Backend: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := defineA(cold).Get(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 {
-		t.Fatalf("cold runs %d", runs)
-	}
-
-	warm, err := New(Options{Backend: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := defineA(warm)
-	// reader resolves a (a warm Stat hit, decode deferred), then evicts
-	// a's artifact behind the engine's back before demanding the value.
-	reader := Define(warm, "reader", intCodec, nil, []AnyNode{a},
-		func(ctx context.Context) (int, error) {
-			r, ok := a.Result()
-			if !ok || !r.CacheHit {
-				return 0, fmt.Errorf("dependency not a cache hit: %+v", r)
-			}
-			path, err := st.Path(r.Key)
+	for _, tc := range []struct {
+		name   string
+		damage func(path string) error
+	}{
+		{"evicted", os.Remove},
+		{"torn", func(path string) error {
+			raw, err := os.ReadFile(path)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			if err := os.Remove(path); err != nil {
-				return 0, err
+			raw[0] ^= 0x20
+			return os.WriteFile(path, raw, 0o644)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			st, err := artifact.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			return a.Get(ctx)
+			defer st.Close()
+
+			runs := 0
+			defineA := func(e *Engine) *Node[int] {
+				return Define(e, "a", intCodec, map[string]string{"v": "7"}, nil,
+					func(ctx context.Context) (int, error) { runs++; return 7, nil })
+			}
+			cold, err := New(Options{Backend: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := defineA(cold).Get(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if runs != 1 {
+				t.Fatalf("cold runs %d", runs)
+			}
+
+			warm, err := New(Options{Backend: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := defineA(warm)
+			// reader resolves a (a warm Stat hit, decode deferred), then
+			// damages a's artifact behind the engine's back before
+			// demanding the value.
+			reader := Define(warm, "reader", intCodec, nil, []AnyNode{a},
+				func(ctx context.Context) (int, error) {
+					r, ok := a.Result()
+					if !ok || !r.CacheHit {
+						return 0, fmt.Errorf("dependency not a cache hit: %+v", r)
+					}
+					path, err := st.Path(r.Key)
+					if err != nil {
+						return 0, err
+					}
+					if err := tc.damage(path); err != nil {
+						return 0, err
+					}
+					return a.Get(ctx)
+				})
+			before := obs.Default.CounterValue("auditherm_pipeline_evicted_recomputes_total")
+			v, err := reader.Get(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != 7 {
+				t.Fatalf("%s stage value %d, want 7", tc.name, v)
+			}
+			if runs != 2 {
+				t.Errorf("stage ran %d times, want 2 (cold + %s recompute)", runs, tc.name)
+			}
+			if after := obs.Default.CounterValue("auditherm_pipeline_evicted_recomputes_total"); after != before+1 {
+				t.Errorf("evicted-recompute counter moved %d, want 1", after-before)
+			}
 		})
-	before := obs.Default.CounterValue("auditherm_pipeline_evicted_recomputes_total")
-	v, err := reader.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 7 {
-		t.Fatalf("evicted stage value %d, want 7", v)
-	}
-	if runs != 2 {
-		t.Errorf("stage ran %d times, want 2 (cold + evicted recompute)", runs)
-	}
-	if after := obs.Default.CounterValue("auditherm_pipeline_evicted_recomputes_total"); after != before+1 {
-		t.Errorf("evicted-recompute counter moved %d, want 1", after-before)
 	}
 }

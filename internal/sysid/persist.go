@@ -77,11 +77,16 @@ func (m *Model) Save(w io.Writer, names *ModelNames) error {
 }
 
 // Load reads a model written by Save, returning the model and any
-// names stored with it. A file without a spectral radius, or with a
-// zero one, gets it computed here, once.
+// names stored with it. It reads r to EOF: anything but whitespace
+// after the model is an error. A file without a spectral radius, or
+// with a zero one, gets it computed here, once.
 func Load(r io.Reader) (*Model, *ModelNames, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sysid: reading model: %w", err)
+	}
 	var dec modelJSON
-	if err := json.NewDecoder(r).Decode(&dec); err != nil {
+	if err := json.Unmarshal(data, &dec); err != nil {
 		return nil, nil, fmt.Errorf("sysid: decoding model: %w", err)
 	}
 	if dec.Version != persistVersion {
