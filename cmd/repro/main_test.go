@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,9 @@ import (
 	"auditherm/internal/obs"
 	"auditherm/internal/traceview"
 )
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/repro_full.txt and testdata/repro_full_pins.json from the current code")
 
 func testRuntime(t *testing.T, c *cliutil.Common) *cliutil.Runtime {
 	t.Helper()
@@ -305,4 +311,144 @@ func TestBadControlDays(t *testing.T) {
 	if err := run(rt, &out, "control", false, smallConfig(), 0); err == nil {
 		t.Fatal("expected an error for a non-positive control-days")
 	}
+}
+
+// reproPins is what a full run pins beyond its stdout, which prints
+// most numbers to two decimals: every headline metric at full float64
+// precision, and every stage's artifact digest.
+type reproPins struct {
+	Metrics map[string]float64 `json:"metrics"`
+	Stages  map[string]string  `json:"stages"`
+}
+
+// TestFullReproGolden pins the paper's numbers: a full repro run on the
+// default dataset, from an empty cache, prints exactly the stdout in
+// testdata/repro_full.txt, and its manifest's metrics and stage digests
+// match testdata/repro_full_pins.json. A change that has to move a
+// paper number re-pins both files with -update-golden and says which
+// section moved and why.
+func TestFullReproGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second full repro run")
+	}
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	rt := testRuntime(t, &cliutil.Common{CacheDir: t.TempDir(), Manifest: manifest})
+	var out bytes.Buffer
+	if err := run(rt, &out, "", false, dataset.DefaultConfig(), 7); err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	m := readManifest(t, manifest)
+	got := reproPins{Metrics: m.Metrics, Stages: map[string]string{}}
+	for stage, st := range m.Artifacts {
+		got.Stages[stage] = st.Digest
+	}
+	outPath := filepath.Join("testdata", "repro_full.txt")
+	pinsPath := filepath.Join("testdata", "repro_full_pins.json")
+	if *updateGolden {
+		pins, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(outPath, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pinsPath, append(pins, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes) and %s", outPath, out.Len(), pinsPath)
+		return
+	}
+	want, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatalf("reading repro golden (regenerate with -update-golden): %v", err)
+	}
+	if moved := sectionDiff(string(want), out.String()); len(moved) > 0 {
+		t.Errorf("%d sections differ from %s:\n%s", len(moved), outPath, strings.Join(moved, "\n"))
+	}
+	raw, err := os.ReadFile(pinsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantPins reproPins
+	if err := json.Unmarshal(raw, &wantPins); err != nil {
+		t.Fatal(err)
+	}
+	if moved := append(mapDiff("metric", wantPins.Metrics, got.Metrics),
+		mapDiff("stage", wantPins.Stages, got.Stages)...); len(moved) > 0 {
+		t.Errorf("%d pins differ from %s:\n%s", len(moved), pinsPath, strings.Join(moved, "\n"))
+	}
+}
+
+// mapDiff lists, one line each in key order, every key of want or got
+// whose value differs or that only one side has.
+func mapDiff[V comparable](kind string, want, got map[string]V) []string {
+	var keys []string
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var moved []string
+	for _, k := range keys {
+		w, inWant := want[k]
+		g, inGot := got[k]
+		if inWant != inGot || w != g {
+			moved = append(moved, fmt.Sprintf("  %s %s: got %v (%v), want %v (%v)", kind, k, g, inGot, w, inWant))
+		}
+	}
+	return moved
+}
+
+// reproSections splits repro's stdout at its "== id ==" headers. The
+// dataset summary ahead of the first header is the "summary" section.
+func reproSections(out string) (names []string, body map[string]string) {
+	body = map[string]string{}
+	name := "summary"
+	names = append(names, name)
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if h := strings.TrimSpace(line); strings.HasPrefix(h, "== ") && strings.HasSuffix(h, " ==") {
+			name = strings.TrimSuffix(strings.TrimPrefix(h, "== "), " ==")
+			names = append(names, name)
+		}
+		body[name] += line
+	}
+	return names, body
+}
+
+// sectionDiff names every section of want that got drops or changes,
+// and every section got adds, with the first line that differs.
+func sectionDiff(want, got string) []string {
+	wantNames, wantBody := reproSections(want)
+	gotNames, gotBody := reproSections(got)
+	var moved []string
+	for _, name := range wantNames {
+		g, ok := gotBody[name]
+		switch {
+		case !ok:
+			moved = append(moved, fmt.Sprintf("== %s == missing", name))
+		case g != wantBody[name]:
+			wl, gl := strings.Split(wantBody[name], "\n"), strings.Split(g, "\n")
+			i := 0
+			for i < len(wl) && i < len(gl) && wl[i] == gl[i] {
+				i++
+			}
+			line := func(ls []string) string {
+				if i < len(ls) {
+					return ls[i]
+				}
+				return "<end>"
+			}
+			moved = append(moved, fmt.Sprintf("== %s == line %d:\n  got  %q\n  want %q", name, i+1, line(gl), line(wl)))
+		}
+	}
+	for _, name := range gotNames {
+		if _, ok := wantBody[name]; !ok {
+			moved = append(moved, fmt.Sprintf("== %s == not in the golden", name))
+		}
+	}
+	return moved
 }
