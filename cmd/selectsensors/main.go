@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	selectsensors -i dataset.csv [-k 2] [-seeds 10] [-gp fast|lazy|naive]
+//	selectsensors -i dataset.csv [-k 2] [-seeds 10]
 //	              [-cache-dir DIR] [-force] [-parallelism N]
 //	              [-metrics-addr host:port] [-manifest out.json]
 package main
@@ -32,7 +32,6 @@ func main() {
 	seeds := flag.Int("seeds", 10, "random draws to average for SRS/RS")
 	onHour := flag.Int("on", 6, "HVAC on hour")
 	offHour := flag.Int("off", 21, "HVAC off hour")
-	gpMode := flag.String("gp", "fast", "GP placement path: fast (incremental, default), lazy (incremental + submodular queue pruning) or naive (O(n*p^4) reference); all three return identical selections")
 	common := cliutil.Register()
 	flag.Parse()
 
@@ -42,29 +41,23 @@ func main() {
 	}
 	defer rt.Close()
 
-	if err := run(rt, *in, *k, *seeds, *onHour, *offHour, *gpMode); err != nil {
+	if err := run(rt, *in, *k, *seeds, *onHour, *offHour); err != nil {
 		cliutil.Fatal(rt, "selectsensors", err)
 	}
 }
 
-func run(rt *cliutil.Runtime, in string, k, seeds, onHour, offHour int, gpMode string) error {
+func run(rt *cliutil.Runtime, in string, k, seeds, onHour, offHour int) error {
 	if in == "" {
 		return fmt.Errorf("missing -i dataset.csv")
 	}
 	if seeds < 1 {
 		return fmt.Errorf("seeds %d must be positive", seeds)
 	}
-	switch gpMode {
-	case "fast", "lazy", "naive":
-	default:
-		return fmt.Errorf("unknown -gp mode %q (want fast, lazy or naive)", gpMode)
-	}
 	b := rt.NewManifest()
 	b.SetConfig(map[string]string{
 		"input": in,
 		"k":     fmt.Sprint(k),
 		"seeds": fmt.Sprint(seeds),
-		"gp":    gpMode,
 	})
 
 	eng, err := rt.Engine(b)
@@ -84,7 +77,7 @@ func run(rt *cliutil.Runtime, in string, k, seeds, onHour, offHour int, gpMode s
 	})
 	selNode := pipeline.SelectRepresentatives(eng, frameNode, clusterNode, pipeline.SelectConfig{
 		OnHour: onHour, OffHour: offHour,
-		Seeds: seeds, GPMode: gpMode,
+		Seeds: seeds, GPMode: "fast",
 	})
 
 	// SIGINT/SIGTERM cancels the run context so in-flight stages unwind
@@ -118,7 +111,7 @@ func run(rt *cliutil.Runtime, in string, k, seeds, onHour, offHour int, gpMode s
 		case m.Draws > 0:
 			fmt.Printf("%-8s %-10.3f (mean of %d draws)\n", m.Method, float64(m.Score), m.Draws)
 		case m.Method == "GP":
-			fmt.Printf("%-8s %-10.3f %v (%s path)\n", m.Method, float64(m.Score), selectionNames(sa.Sensors, m.Selected), gpMode)
+			fmt.Printf("%-8s %-10.3f %v (fast path)\n", m.Method, float64(m.Score), selectionNames(sa.Sensors, m.Selected))
 		default:
 			fmt.Printf("%-8s %-10.3f %v\n", m.Method, float64(m.Score), selectionNames(sa.Sensors, m.Selected))
 		}

@@ -48,25 +48,20 @@ func writeTestCSV(t *testing.T) string {
 
 func TestRunComparesMethods(t *testing.T) {
 	csv := writeTestCSV(t)
-	for _, mode := range []string{"fast", "lazy", "naive"} {
-		if err := run(testRuntime(t), csv, 2, 3, 6, 21, mode); err != nil {
-			t.Fatalf("run (-gp %s): %v", mode, err)
-		}
+	if err := run(testRuntime(t), csv, 2, 3, 6, 21); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	csv := writeTestCSV(t)
-	if err := run(testRuntime(t), "", 2, 3, 6, 21, "fast"); err == nil {
+	if err := run(testRuntime(t), "", 2, 3, 6, 21); err == nil {
 		t.Error("missing input accepted")
 	}
-	if err := run(testRuntime(t), csv, 2, 0, 6, 21, "fast"); err == nil {
+	if err := run(testRuntime(t), csv, 2, 0, 6, 21); err == nil {
 		t.Error("zero seeds accepted")
 	}
-	if err := run(testRuntime(t), csv, 2, 3, 6, 21, "bogus"); err == nil {
-		t.Error("unknown -gp mode accepted")
-	}
-	if err := run(testRuntime(t), filepath.Join(t.TempDir(), "nope.csv"), 2, 3, 6, 21, "fast"); err == nil {
+	if err := run(testRuntime(t), filepath.Join(t.TempDir(), "nope.csv"), 2, 3, 6, 21); err == nil {
 		t.Error("missing file accepted")
 	}
 }

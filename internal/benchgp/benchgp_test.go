@@ -6,10 +6,10 @@
 //
 // (equivalently: go test ./internal/benchgp -run RecordGPBench
 // -record-gp-bench). Alongside the timings it enforces the placement
-// equality gate — the incremental (fast), lazy-greedy and naive
-// reference paths must return the same sensors in the same order at
-// every size — and refuses to write the file when that fails, or when
-// the fast path is less than 10x faster than naive at p=300.
+// equality gate — the incremental (fast) path and the naive reference
+// must return the same sensors in the same order at every size — and
+// refuses to write the file when that fails, or when the fast path is
+// less than 10x faster than naive at p=300.
 package benchgp
 
 import (
@@ -54,7 +54,7 @@ type benchFile struct {
 	NumCPU       int        `json:"num_cpu"`
 	Note         string     `json:"note"`
 	Reproduce    string     `json:"reproduce"`
-	EqualityGate bool       `json:"fast_lazy_naive_selections_identical"`
+	EqualityGate bool       `json:"fast_naive_selections_identical"`
 	Benchmarks   []benchRow `json:"benchmarks"`
 }
 
@@ -100,13 +100,9 @@ func TestRecordGPBench(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d fast: %v", p, err)
 		}
-		lazySel, err := selection.GreedyMIOpts(cov, pick, selection.GreedyMIOptions{Lazy: true})
-		if err != nil {
-			t.Fatalf("p=%d lazy: %v", p, err)
-		}
-		if !equalInts(fastSel, naiveSel) || !equalInts(lazySel, naiveSel) {
+		if !equalInts(fastSel, naiveSel) {
 			equality = false
-			t.Errorf("p=%d: selections differ: fast %v lazy %v naive %v", p, fastSel, lazySel, naiveSel)
+			t.Errorf("p=%d: selections differ: fast %v naive %v", p, fastSel, naiveSel)
 			continue
 		}
 
@@ -117,7 +113,6 @@ func TestRecordGPBench(t *testing.T) {
 		}{
 			{"naive", func() ([]int, error) { return selection.GreedyMINaive(cov, pick) }},
 			{"fast", func() ([]int, error) { return selection.GreedyMI(cov, pick) }},
-			{"lazy", func() ([]int, error) { return selection.GreedyMIOpts(cov, pick, selection.GreedyMIOptions{Lazy: true}) }},
 		} {
 			evalsBefore := obs.Default.CounterValue("auditherm_selection_gp_candidate_evals_total")
 			ns, err := timeOnce(func() error {
@@ -128,7 +123,7 @@ func TestRecordGPBench(t *testing.T) {
 				t.Fatalf("p=%d %s: %v", p, im.name, err)
 			}
 			evals := obs.Default.CounterValue("auditherm_selection_gp_candidate_evals_total") - evalsBefore
-			// Re-run fast paths a few times for a steadier number; the
+			// Re-run the fast path a few times for a steadier number; the
 			// naive path is long enough that one run is stable.
 			if ns < int64(200*time.Millisecond) {
 				const reps = 5
@@ -165,7 +160,7 @@ func TestRecordGPBench(t *testing.T) {
 		}
 	}
 	if !equality {
-		t.Fatal("refusing to write BENCH_gp.json: fast/lazy/naive selections not identical")
+		t.Fatal("refusing to write BENCH_gp.json: fast/naive selections not identical")
 	}
 	for _, r := range rows {
 		if r.P == 300 && r.Impl == "fast" && r.SpeedupVsNaive < minSpeedupAt300 {
@@ -180,9 +175,8 @@ func TestRecordGPBench(t *testing.T) {
 		NumCPU:    runtime.NumCPU(),
 		Note: "Incremental GreedyMI does one Cholesky per round (complement variances from the " +
 			"precision diagonal, selected-set factor rank-grown in O(k^2)) instead of two dense " +
-			"refactorizations per candidate: O(n*p^3) vs the naive O(n*p^4). The lazy path adds " +
-			"submodular priority-queue pruning on top (compare candidate_evals). Selections are " +
-			"verified element-for-element identical across all three paths before timings are recorded.",
+			"refactorizations per candidate: O(n*p^3) vs the naive O(n*p^4). Selections are " +
+			"verified element-for-element identical across both paths before timings are recorded.",
 		Reproduce:    "make bench-gp",
 		EqualityGate: true,
 		Benchmarks:   rows,

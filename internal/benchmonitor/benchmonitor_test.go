@@ -16,16 +16,12 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"auditherm/internal/mat"
 	"auditherm/internal/monitor"
-	"auditherm/internal/sysid"
-	"auditherm/internal/timeseries"
 )
 
 var recordMonitorBench = flag.Bool("record-monitor-bench", false, "measure the monitor hot-path benchmarks and write BENCH_monitor.json at the repo root")
@@ -71,54 +67,6 @@ func warmMonitor(t testing.TB, n int) *monitor.Monitor {
 		}
 	}
 	return m
-}
-
-// predictorFixture identifies a small second-order model on synthetic
-// data and returns a ready streaming predictor plus an input vector —
-// the per-decision-step cost the control loop pays when feeding the
-// monitor model-based residuals.
-func predictorFixture(t testing.TB) (*sysid.Predictor, []float64) {
-	const p, n, mIn = 27, 1200, 7
-	rng := rand.New(rand.NewSource(41))
-	temps := mat.NewDense(p, n)
-	inputs := mat.NewDense(mIn, n)
-	cur := make([]float64, p)
-	for i := range cur {
-		cur[i] = 20 + rng.Float64()
-	}
-	for k := 0; k < n; k++ {
-		u := make([]float64, mIn)
-		for i := range u {
-			u[i] = rng.Float64()
-		}
-		inputs.SetCol(k, u)
-		temps.SetCol(k, cur)
-		for i := range cur {
-			cur[i] = 0.92*cur[i] + 0.04*u[i%mIn] + 0.01*rng.NormFloat64() + 1.6
-		}
-	}
-	d := sysid.Data{Temps: temps, Inputs: inputs}
-	window := []timeseries.Segment{{Start: 0, End: n}}
-	model, err := sysid.Fit(d, window, sysid.SecondOrder, sysid.Options{Ridge: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := sysid.NewPredictor(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := make([]float64, p)
-	for i := range obs {
-		obs[i] = 21
-	}
-	if err := pr.Observe(obs); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Observe(obs); err != nil {
-		t.Fatal(err)
-	}
-	u := make([]float64, mIn)
-	return pr, u
 }
 
 func TestRecordMonitorBench(t *testing.T) {
@@ -184,23 +132,6 @@ func TestRecordMonitorBench(t *testing.T) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = m27.Snapshot()
-		}
-	})
-
-	pr, u := predictorFixture(t)
-	obs := make([]float64, 27)
-	for i := range obs {
-		obs[i] = 21
-	}
-	measure("sysid.Predictor/observe+predict", "one-step-ahead model forecast feeding the monitor (27 sensors, 2nd order)", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := pr.Observe(obs); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := pr.Predict(u); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 

@@ -2,13 +2,10 @@ package control
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
-	"auditherm/internal/mat"
 	"auditherm/internal/monitor"
-	"auditherm/internal/sysid"
 )
 
 // loopMonitorConfig shortens the monitor's horizons so a two-day loop
@@ -93,102 +90,5 @@ func TestLoopHealthMonitorSizeMismatch(t *testing.T) {
 	cfg.Health = m
 	if _, err := RunLoop(cfg, DefaultDeadband()); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
-	}
-}
-
-// loopModel builds a stable diagonal model over p sensors with the
-// [VAV flows..., occ, light, ambient] input convention.
-func loopModel(p, numVAVs int) *sysid.Model {
-	a := mat.NewDense(p, p)
-	for i := 0; i < p; i++ {
-		a.Set(i, i, 0.97)
-	}
-	b := mat.NewDense(p, numVAVs+3)
-	for i := 0; i < p; i++ {
-		b.Set(i, numVAVs+2, 0.02) // small ambient coupling
-	}
-	return &sysid.Model{Order: sysid.FirstOrder, A: a, B: b}
-}
-
-func TestNewModelPredictorValidation(t *testing.T) {
-	if _, err := NewModelPredictor(nil, 4); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("nil model: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := NewModelPredictor(loopModel(2, 4), 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("zero VAVs: err = %v, want ErrBadConfig", err)
-	}
-	// Input-count mismatch: model built for 4 VAVs, predictor told 2.
-	if _, err := NewModelPredictor(loopModel(2, 4), 2); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("input mismatch: err = %v, want ErrBadConfig", err)
-	}
-}
-
-// TestModelPredictorInputAssembly pins the input-vector convention
-// against a hand computation.
-func TestModelPredictorInputAssembly(t *testing.T) {
-	model := loopModel(2, 3)
-	mp, err := NewModelPredictor(model, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp.Ready() {
-		t.Error("ready before priming")
-	}
-	temps := []float64{21, 22}
-	if err := mp.Observe(temps); err != nil {
-		t.Fatal(err)
-	}
-	obs := Observation{Occupants: 50, LightsOn: true, Ambient: 30}
-	cmd := Command{FlowPerVAV: 0.4}
-	got, err := mp.Predict(obs, cmd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := []float64{0.4, 0.4, 0.4, 50, 1, 30}
-	want, err := model.Predict(temps, nil, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("prediction[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestLoopPredictorFeedsMonitor exercises the model-replay residual
-// path end to end: the first decision step only primes the predictor,
-// every later one delivers a residual.
-func TestLoopPredictorFeedsMonitor(t *testing.T) {
-	cfg := loopConfig(t, 1)
-	p := len(cfg.SensorPositions)
-	names := make([]string, p)
-	for i := range names {
-		names[i] = string(rune('a' + i))
-	}
-	mcfg := loopMonitorConfig()
-	// The toy model is nothing like the building, so residuals are
-	// biased; this test checks plumbing, not calibration. Loosen the
-	// detectors so the run completes without churn mattering.
-	mcfg.CUSUM.Threshold = 1e9
-	mcfg.PageHinkley.Lambda = 1e9
-	m, err := monitor.New(names, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := NewModelPredictor(loopModel(p, cfg.NumVAVs), cfg.NumVAVs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Health = m
-	cfg.Predictor = mp
-	if _, err := RunLoop(cfg, DefaultDeadband()); err != nil {
-		t.Fatal(err)
-	}
-	wantUpdates := int64(cfg.Days*24*4) - 1 // first decision only primes
-	for i, s := range m.Snapshot() {
-		if s.Updates != wantUpdates {
-			t.Errorf("sensor %d saw %d updates, want %d", i, s.Updates, wantUpdates)
-		}
 	}
 }

@@ -49,18 +49,14 @@ type LoopConfig struct {
 	// once per decision step; the returned slice must have the same
 	// length (it may alias truth). nil means perfect sensing.
 	Sense func(t time.Time, truth []float64) []float64
-	// Health, when set, receives a (prediction, sensed) pair per sensor
-	// at every decision step: the model-health monitor's residual
-	// stream. The monitor must have exactly len(SensorPositions)
-	// sensors, in position order. With a Predictor attached the
-	// prediction is the model's one-step-ahead replay; without one it
-	// is the simulator's ground truth at the same instant, so the
-	// residual isolates the sensing chain (stale holds, outages,
-	// calibration drift).
+	// Health, when set, receives a (ground truth, sensed) pair per
+	// sensor at every decision step: the model-health monitor's
+	// residual stream. The monitor must have exactly
+	// len(SensorPositions) sensors, in position order. The truth is the
+	// simulator's temperature at the same instant, so the residual
+	// isolates the sensing chain (stale holds, outages, calibration
+	// drift).
 	Health *monitor.Monitor
-	// Predictor supplies the model-side prediction stream for Health
-	// (see OneStepPredictor). Ignored when Health is nil.
-	Predictor OneStepPredictor
 }
 
 // LoopResult aggregates a closed-loop run.
@@ -148,12 +144,8 @@ func RunLoop(cfg LoopConfig, ctrl Controller) (*LoopResult, error) {
 	var cmd Command
 	nextDecision := cfg.Start
 	nSteps := int(end.Sub(cfg.Start) / cfg.SimStep)
-	// Health-monitoring state: truth/pred buffers reused every decision
-	// step; predValid marks a prediction made at the previous decision
-	// step awaiting its comparison.
+	// The ground-truth buffer is reused every decision step.
 	truthBuf := make([]float64, len(cfg.SensorPositions))
-	predBuf := make([]float64, len(cfg.SensorPositions))
-	predValid := false
 	// The per-VAV flow command: sim.Step only reads it, so one buffer
 	// serves every tick.
 	flows := make([]float64, cfg.NumVAVs)
@@ -177,25 +169,11 @@ func RunLoop(cfg LoopConfig, ctrl Controller) (*LoopResult, error) {
 				}
 			}
 			// Feed the health monitor BEFORE the controller acts: the
-			// residual pairs this step's prediction (made one decision
-			// step ago, or ground truth when no model is attached) with
-			// what the sensing chain reports now.
+			// residual pairs the ground truth with what the sensing
+			// chain reports now.
 			if cfg.Health != nil {
-				if cfg.Predictor != nil {
-					if predValid {
-						for i := range sensed {
-							cfg.Health.UpdateAt(i, predBuf[i], sensed[i], t)
-						}
-					}
-				} else {
-					for i := range sensed {
-						cfg.Health.UpdateAt(i, truth[i], sensed[i], t)
-					}
-				}
-			}
-			if cfg.Predictor != nil {
-				if err := cfg.Predictor.Observe(sensed); err != nil {
-					return nil, fmt.Errorf("control: predictor observe at %v: %w", t, err)
+				for i := range sensed {
+					cfg.Health.UpdateAt(i, truth[i], sensed[i], t)
 				}
 			}
 			obs := Observation{
@@ -208,19 +186,6 @@ func RunLoop(cfg LoopConfig, ctrl Controller) (*LoopResult, error) {
 			cmd, err = ctrl.Decide(obs)
 			if err != nil {
 				return nil, fmt.Errorf("control: %s decision at %v: %w", ctrl.Name(), t, err)
-			}
-			// Predict the NEXT decision step's readings under the command
-			// that will hold over the interval.
-			if cfg.Predictor != nil {
-				predValid = false
-				if cfg.Predictor.Ready() {
-					pred, err := cfg.Predictor.Predict(obs, cmd)
-					if err != nil {
-						return nil, fmt.Errorf("control: predictor at %v: %w", t, err)
-					}
-					copy(predBuf, pred)
-					predValid = true
-				}
 			}
 			loopDecisionsTotal.Inc()
 			nextDecision = nextDecision.Add(cfg.DecisionStep)

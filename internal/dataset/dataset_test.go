@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"auditherm/internal/mat"
 	"auditherm/internal/timeseries"
 )
 
@@ -247,10 +248,10 @@ func TestMatricesShapes(t *testing.T) {
 	if r != 27 {
 		t.Errorf("truth rows = %d", r)
 	}
-	if f := FiniteFraction(truth); f < 0.999 {
+	if f := finiteFraction(truth); f < 0.999 {
 		t.Errorf("truth finite fraction = %v, want ~1", f)
 	}
-	if f := FiniteFraction(temps); f >= 1 || f < 0.4 {
+	if f := finiteFraction(temps); f >= 1 || f < 0.4 {
 		t.Errorf("temps finite fraction = %v, want in (0.4, 1)", f)
 	}
 }
@@ -280,7 +281,7 @@ func TestValidColumnsAndCollect(t *testing.T) {
 	if cols != wantCols {
 		t.Errorf("collected %d columns, want %d", cols, wantCols)
 	}
-	if f := FiniteFraction(coll); f != 1 {
+	if f := finiteFraction(coll); f != 1 {
 		t.Errorf("collected finite fraction = %v, want 1", f)
 	}
 }
@@ -436,4 +437,21 @@ func TestGenerateNoAllocationPerStep(t *testing.T) {
 	if extra := allocs(3) - allocs(2); extra >= float64(steps)/10 {
 		t.Fatalf("one more day of %d steps allocates %v more times, want under %d", steps, extra, steps/10)
 	}
+}
+
+// finiteFraction reports the fraction of finite entries in m.
+func finiteFraction(m *mat.Dense) float64 {
+	rows, cols := m.Dims()
+	if rows*cols == 0 {
+		return 0
+	}
+	finite := 0
+	for i := 0; i < rows; i++ {
+		for _, v := range m.RawRow(i) {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				finite++
+			}
+		}
+	}
+	return float64(finite) / float64(rows*cols)
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"auditherm/internal/mat"
@@ -210,21 +209,4 @@ func CollectValid(m *mat.Dense, mask []bool, windows []timeseries.Segment) *mat.
 		}
 	}
 	return out
-}
-
-// FiniteFraction reports the fraction of finite entries in m.
-func FiniteFraction(m *mat.Dense) float64 {
-	rows, cols := m.Dims()
-	if rows*cols == 0 {
-		return 0
-	}
-	finite := 0
-	for i := 0; i < rows; i++ {
-		for _, v := range m.RawRow(i) {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				finite++
-			}
-		}
-	}
-	return float64(finite) / float64(rows*cols)
 }

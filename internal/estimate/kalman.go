@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"auditherm/internal/mat"
-	"auditherm/internal/monitor"
 	"auditherm/internal/sysid"
 )
 
@@ -46,17 +45,6 @@ type Filter struct {
 	h   *mat.Dense // measurement matrix: len(observed) x n
 	x   []float64
 	cov *mat.Dense
-
-	// rowPos maps a model output row to its position in ObservedRows.
-	rowPos map[int]int
-	// lastInnov holds the innovations from the latest measurement
-	// update, aligned with ObservedRows; NaN where undefined.
-	lastInnov []float64
-	// health, when set, receives (predicted measurement, measurement)
-	// per observed row on every update; healthIdx maps ObservedRows
-	// positions to monitor sensor indices.
-	health    *monitor.Monitor
-	healthIdx []int
 }
 
 // NewFilter validates cfg and initializes the state at init (length p,
@@ -124,17 +112,7 @@ func NewFilter(cfg Config, init []float64, priorVar float64) (*Filter, error) {
 	for i := 0; i < n; i++ {
 		cov.Set(i, i, priorVar)
 	}
-	rowPos := make(map[int]int, len(cfg.ObservedRows))
-	for i, r := range cfg.ObservedRows {
-		rowPos[r] = i
-	}
-	flt := &Filter{
-		cfg: cfg, p: p, n: n, f: f, g: g, h: h, x: x, cov: cov,
-		rowPos:    rowPos,
-		lastInnov: make([]float64, len(cfg.ObservedRows)),
-	}
-	flt.clearInnovations()
-	return flt, nil
+	return &Filter{cfg: cfg, p: p, n: n, f: f, g: g, h: h, x: x, cov: cov}, nil
 }
 
 // Step advances one model step: predict with the inputs u, then update
@@ -165,11 +143,33 @@ func (f *Filter) Step(u, z []float64) error {
 	}
 	f.x, f.cov = x, cov
 	if z == nil {
-		// Prediction-only step: there is no innovation this step.
-		f.clearInnovations()
 		return nil
 	}
-	return f.update(f.cfg.ObservedRows, z)
+	return f.update(z)
+}
+
+// update applies the measurement update with z, one measurement per
+// observed row.
+func (f *Filter) update(z []float64) error {
+	h := f.h
+	ph := f.cov.Mul(h.T())
+	s := h.Mul(ph)
+	for i := 0; i < s.Rows(); i++ {
+		s.Set(i, i, s.At(i, i)+f.cfg.MeasureVar)
+	}
+	sInv, err := mat.Inverse(s)
+	if err != nil {
+		return fmt.Errorf("estimate: innovation covariance: %w", err)
+	}
+	k := ph.Mul(sInv)
+	innov := make([]float64, len(z))
+	for i := range z {
+		innov[i] = z[i] - mat.Dot(h.RawRow(i), f.x)
+	}
+	mat.Axpy(1, k.MulVec(innov), f.x)
+	kh := k.Mul(h)
+	f.cov = mat.Identity(f.n).Sub(kh).Mul(f.cov)
+	return nil
 }
 
 // Estimate returns the current temperature estimates for all sensors.

@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"auditherm/internal/cluster"
 	"auditherm/internal/dataset"
-	"auditherm/internal/estimate"
-	"auditherm/internal/sysid"
+	"auditherm/internal/selection"
+	"auditherm/internal/stats"
 )
 
 // sharedEnvT returns the cached paper-scale environment, failing the
@@ -301,20 +301,33 @@ func TestTableIIPaperOrdering(t *testing.T) {
 	}
 }
 
+// TestGPPathsAgreeOnAuditoriumCovariance runs both GreedyMI
+// implementations at k=2 clusters over the training covariance the
+// paper's GP baseline uses — the in-pipeline analogue of the synthetic
+// determinism suite in internal/selection and of the bench-gp gate.
 func TestGPPathsAgreeOnAuditoriumCovariance(t *testing.T) {
 	e := sharedEnvT(t)
-	res, err := GPPaths(e)
+	sc, err := e.newSelectionContext(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SelectionsIdentical {
-		t.Errorf("placement paths disagree: fast %v lazy %v naive %v", res.Fast, res.Lazy, res.Naive)
+	cov, err := stats.CovarianceMatrix(sc.trainX)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Fast) != res.K {
-		t.Errorf("selected %d sensors, want %d", len(res.Fast), res.K)
+	fast, err := selection.GreedyMI(cov, sc.k)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(res.String(), "identical: true") {
-		t.Errorf("String() = %q", res.String())
+	naive, err := selection.GreedyMINaive(cov, sc.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fast) != sc.k {
+		t.Errorf("selected %d sensors, want %d", len(fast), sc.k)
+	}
+	if !slices.Equal(fast, naive) {
+		t.Errorf("placement paths disagree: fast %v naive %v", fast, naive)
 	}
 }
 
@@ -479,83 +492,4 @@ func TestVirtualSensingClaims(t *testing.T) {
 	if !strings.Contains(res.String(), "Kalman") {
 		t.Error("String() missing rows")
 	}
-}
-
-func TestSmootherInfillsRealGaps(t *testing.T) {
-	// The RTS smoother on the identified model should reconstruct a
-	// sensor through an artificial mid-window outage better than
-	// holding its last value, judged against the held-out measurements
-	// (the signal the sensor would actually have reported; comparing to
-	// noise-free ground truth would punish both methods for the
-	// sensor's own calibration offset).
-	e := sharedEnvT(t)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainWins, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := sysid.Fit(data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	validWins, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask, err := data.ValidMask()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var smErrs, holdErrs []float64
-	evaluated := 0
-	for _, w := range validWins {
-		if evaluated >= 5 {
-			break
-		}
-		run := longestValidRun(mask, w)
-		if run.Len() < 30 {
-			continue
-		}
-		// Blind sensor row 0 for 10 mid-run steps.
-		temps := e.Temps.Clone()
-		holeStart := run.Start + run.Len()/2 - 5
-		for k := holeStart; k < holeStart+10; k++ {
-			temps.Set(0, k, math.NaN())
-		}
-		all := make([]int, temps.Rows())
-		for i := range all {
-			all[i] = i
-		}
-		smoothed, err := estimate.Smooth(estimate.Config{
-			Model: model, ObservedRows: all, ProcessVar: 0.01, MeasureVar: 0.25,
-		}, temps, e.Inputs, run.Start, run.End)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hold := e.Temps.At(0, holeStart-1)
-		for k := holeStart; k < holeStart+10; k++ {
-			tr := e.Temps.At(0, k) // held-out measurement
-			smErrs = append(smErrs, smoothed.At(0, k-run.Start)-tr)
-			holdErrs = append(holdErrs, hold-tr)
-		}
-		evaluated++
-	}
-	if evaluated == 0 {
-		t.Skip("no long enough validation runs")
-	}
-	sm, hd := rmsOf(smErrs), rmsOf(holdErrs)
-	if sm >= hd {
-		t.Errorf("smoother infill RMS %v not below last-value hold %v", sm, hd)
-	}
-	if sm > 0.6 {
-		t.Errorf("smoother infill RMS %v too large", sm)
-	}
-}
-
-func rmsOf(xs []float64) float64 {
-	var s float64
-	for _, v := range xs {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

@@ -227,66 +227,6 @@ func (r *TableIIResult) String() string {
 	return b.String()
 }
 
-// GPPathsResult records the GP placement-path cross-check: the
-// selections of the incremental (default), lazy-greedy and naive
-// reference implementations on the auditorium training covariance,
-// which must agree element-for-element.
-type GPPathsResult struct {
-	K                   int
-	Fast, Lazy, Naive   []int // selected sensor IDs per path
-	SelectionsIdentical bool
-}
-
-// GPPaths runs all three GreedyMI implementations at k=2 clusters over
-// the same training covariance the paper's GP baseline uses — the
-// in-pipeline analogue of the synthetic determinism suite in
-// internal/selection and of the bench-gp equality gate.
-func GPPaths(e *Env) (*GPPathsResult, error) {
-	sc, err := e.newSelectionContext(2)
-	if err != nil {
-		return nil, err
-	}
-	cov, err := stats.CovarianceMatrix(sc.trainX)
-	if err != nil {
-		return nil, err
-	}
-	fast, err := selection.GreedyMI(cov, sc.k)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: GP incremental path: %w", err)
-	}
-	lazy, err := selection.GreedyMIOpts(cov, sc.k, selection.GreedyMIOptions{Lazy: true})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: GP lazy path: %w", err)
-	}
-	naive, err := selection.GreedyMINaive(cov, sc.k)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: GP naive reference: %w", err)
-	}
-	res := &GPPathsResult{K: sc.k, SelectionsIdentical: true}
-	for _, pair := range []struct {
-		dst *[]int
-		src []int
-	}{{&res.Fast, fast}, {&res.Lazy, lazy}, {&res.Naive, naive}} {
-		for _, l := range pair.src {
-			*pair.dst = append(*pair.dst, e.SensorID(e.WirelessIdx[l]))
-		}
-	}
-	for i := range fast {
-		if fast[i] != naive[i] || lazy[i] != naive[i] {
-			res.SelectionsIdentical = false
-		}
-	}
-	return res, nil
-}
-
-// String renders the cross-check.
-func (r *GPPathsResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "GP placement paths (k=%d): fast %v, lazy %v, naive %v — identical: %v\n",
-		r.K, r.Fast, r.Lazy, r.Naive, r.SelectionsIdentical)
-	return b.String()
-}
-
 // Figure9Result reproduces Fig. 9: SRS cluster-mean error vs the
 // number of sensors chosen per cluster.
 type Figure9Result struct {

@@ -189,30 +189,3 @@ func LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b)
 }
-
-// RidgeLeastSquares returns x minimizing ||A*x-b||^2 + lambda*||x||^2 by
-// solving the stacked system [A; sqrt(lambda)*I] x = [b; 0]. A small
-// positive lambda regularizes rank-deficient identification problems.
-func RidgeLeastSquares(a *Dense, b []float64, lambda float64) ([]float64, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("mat: ridge with negative lambda %v", lambda)
-	}
-	if lambda == 0 {
-		return LeastSquares(a, b)
-	}
-	m, n := a.Dims()
-	if len(b) != m {
-		return nil, fmt.Errorf("mat: ridge with rhs length %d for %dx%d system: %w", len(b), m, n, ErrShape)
-	}
-	aug := NewDense(m+n, n)
-	for i := 0; i < m; i++ {
-		copy(aug.RawRow(i), a.RawRow(i))
-	}
-	s := math.Sqrt(lambda)
-	for i := 0; i < n; i++ {
-		aug.Set(m+i, i, s)
-	}
-	rhs := make([]float64, m+n)
-	copy(rhs, b)
-	return LeastSquares(aug, rhs)
-}

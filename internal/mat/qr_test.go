@@ -150,42 +150,3 @@ func TestQRSolveBadRHS(t *testing.T) {
 		t.Errorf("err = %v, want ErrShape", err)
 	}
 }
-
-func TestRidgeLeastSquares(t *testing.T) {
-	// With rank deficiency, plain LS fails but ridge succeeds and
-	// produces the minimum-norm-flavored split across identical columns.
-	a := NewDenseData(4, 2, []float64{1, 1, 2, 2, 3, 3, 4, 4})
-	b := []float64{2, 4, 6, 8}
-	x, err := RidgeLeastSquares(a, b, 1e-8)
-	if err != nil {
-		t.Fatalf("RidgeLeastSquares: %v", err)
-	}
-	if !almostEqual(x[0], x[1], 1e-4) {
-		t.Errorf("ridge split = %v, want symmetric", x)
-	}
-	if !almostEqual(x[0]+x[1], 2, 1e-4) {
-		t.Errorf("ridge sum = %v, want 2", x[0]+x[1])
-	}
-	if _, err := RidgeLeastSquares(a, b, -1); err == nil {
-		t.Error("negative lambda accepted")
-	}
-}
-
-func TestRidgeZeroLambdaMatchesLS(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomDense(rng, 10, 3)
-	b := make([]float64, 10)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x1, err1 := LeastSquares(a, b)
-	x2, err2 := RidgeLeastSquares(a, b, 0)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v %v", err1, err2)
-	}
-	for i := range x1 {
-		if !almostEqual(x1[i], x2[i], 1e-12) {
-			t.Errorf("x[%d]: %v vs %v", i, x1[i], x2[i])
-		}
-	}
-}

@@ -371,27 +371,12 @@ type SelectConfig struct {
 	OffHour int
 	// Seeds is the number of random draws averaged for SRS/RS.
 	Seeds int
-	// GPMode picks the placement path: fast, lazy or naive (all three
-	// return identical selections; the key includes the mode so a
-	// path-equality regression is observable as a digest change).
+	// GPMode names the GP placement path. The incremental path is the
+	// only one, so the stage accepts "" and "fast"; the field stays
+	// because the stage key hashes this struct's JSON.
 	GPMode string
 	// MinSteps is the minimum gap-free step count per half (0 = 10).
 	MinSteps int
-}
-
-// greedyMIPath maps a GP mode name to its implementation.
-func greedyMIPath(mode string) (func(cov *mat.Dense, n int) ([]int, error), error) {
-	switch mode {
-	case "", "fast":
-		return selection.GreedyMI, nil
-	case "lazy":
-		return func(cov *mat.Dense, n int) ([]int, error) {
-			return selection.GreedyMIOpts(cov, n, selection.GreedyMIOptions{Lazy: true})
-		}, nil
-	case "naive":
-		return selection.GreedyMINaive, nil
-	}
-	return nil, fmt.Errorf("pipeline: unknown GP mode %q (want fast, lazy or naive)", mode)
 }
 
 // SelectRepresentatives defines the representative-sensor stage over a
@@ -407,9 +392,8 @@ func SelectRepresentativesNamed(e *Engine, name string, frame *Node[*timeseries.
 		map[string]string{"select_config": hashJSON(cfg)},
 		[]AnyNode{frame, clusters},
 		func(ctx context.Context) (*artifact.SelectionArtifact, error) {
-			greedyMI, err := greedyMIPath(cfg.GPMode)
-			if err != nil {
-				return nil, err
+			if cfg.GPMode != "" && cfg.GPMode != "fast" {
+				return nil, fmt.Errorf("pipeline: unknown GP mode %q (want fast)", cfg.GPMode)
 			}
 			if cfg.Seeds < 1 {
 				return nil, fmt.Errorf("pipeline: seeds %d must be positive", cfg.Seeds)
@@ -508,9 +492,9 @@ func SelectRepresentativesNamed(e *Engine, name string, frame *Node[*timeseries.
 			if err != nil {
 				return nil, err
 			}
-			gp, err := greedyMI(cov, ca.K)
+			gp, err := selection.GreedyMI(cov, ca.K)
 			if err != nil {
-				return nil, fmt.Errorf("pipeline: GP placement (%s): %w", cfg.GPMode, err)
+				return nil, fmt.Errorf("pipeline: GP placement: %w", err)
 			}
 			gpSel := selection.AssignToClusters(gp, ca.K)
 			if v, err = score(gpSel); err != nil {

@@ -2,23 +2,18 @@
 // and Guestrin's near-optimal greedy algorithm, the paper's GP
 // baseline), engineered to scale past the paper's 27 sensors.
 //
-// Three implementations share one scoring rule and are proven
+// Two implementations share one scoring rule and are proven
 // selection-identical by the property suite in gp_test.go:
 //
 //   - GreedyMINaive — the textbook reference: every candidate in every
 //     round refactors two dense systems from scratch, O(n·p^4) overall.
 //     Retained as the oracle for equivalence tests and benchmarks.
-//   - the incremental path (GreedyMI default) — one Cholesky of the
+//   - GreedyMI, the incremental path — one Cholesky of the
 //     unselected-set covariance per *round* with all complement
 //     variances read off the precision diagonal
 //     (Var(y | U∖y) = 1/(Σ_U^-1)_yy), and a rank-grown factor
 //     (mat.Cholesky.AppendRow) for the selected-set numerator:
 //     O(n·p^3) overall.
-//   - lazy-greedy (opt-in via GreedyMIOptions.Lazy) — the incremental
-//     path plus a max-priority queue of stale scores. Submodularity of
-//     the MI gain makes scores non-increasing across rounds, so a
-//     popped candidate whose score is already current is the exact
-//     argmax and the rest of the queue is never touched.
 package selection
 
 import (
@@ -39,46 +34,29 @@ const gpJitter = 1e-9
 // produces a usable mutual-information score in some round.
 var ErrNoCandidate = errors.New("selection: no candidate produced a usable MI score")
 
-// GreedyMIOptions tunes the GP placement algorithm. The zero value is
-// the default exact incremental path.
-type GreedyMIOptions struct {
-	// Lazy enables the lazy-greedy priority queue, which skips
-	// re-scoring candidates whose stale upper bound already loses to
-	// the current best. Valid because the MI gain is submodular
-	// (non-increasing in the selected set); the selection is identical
-	// to the exact path whenever that monotonicity holds numerically —
-	// the default (false) keeps the exact path.
-	Lazy bool
-}
-
 // GreedyMI picks n sensors by greedily maximizing the mutual
 // information between selected and unselected locations under a
 // Gaussian process with the given covariance (Krause et al.'s
 // near-optimal placement, the paper's GP baseline). A small jitter is
 // added to keep conditional variances positive.
 //
-// This is the incremental O(n·p^3) path; see GreedyMIOpts for the
-// lazy-greedy variant and GreedyMINaive for the reference.
+// This is the incremental O(n·p^3) path; GreedyMINaive is the
+// reference.
 func GreedyMI(cov *mat.Dense, n int) ([]int, error) {
-	return GreedyMIOpts(cov, n, GreedyMIOptions{})
-}
-
-// GreedyMIOpts is GreedyMI with explicit options.
-func GreedyMIOpts(cov *mat.Dense, n int, opts GreedyMIOptions) ([]int, error) {
 	p, err := validateGPCov(cov, n)
 	if err != nil {
 		return nil, err
 	}
 	selectionsTotal.Inc()
-	return greedyMIFast(cov, n, p, opts.Lazy)
+	return greedyMIFast(cov, n, p)
 }
 
 // GreedyMINaive is the retained reference implementation of GreedyMI:
 // per candidate and per round it solves both conditional systems from
 // scratch (O(n·p^4) total). It exists as the equivalence oracle for the
-// incremental and lazy paths — the determinism suite and the bench-gp
-// gate require GreedyMI, lazy-greedy and GreedyMINaive to return the
-// same sensors in the same order.
+// incremental path — the determinism suite and the bench-gp gate
+// require GreedyMI and GreedyMINaive to return the same sensors in the
+// same order.
 func GreedyMINaive(cov *mat.Dense, n int) ([]int, error) {
 	p, err := validateGPCov(cov, n)
 	if err != nil {
@@ -299,9 +277,9 @@ func (s *gpScorer) add(y int) error {
 	return nil
 }
 
-// greedyMIFast is the incremental placement core shared by the exact
-// and lazy paths. cov has already been validated.
-func greedyMIFast(cov *mat.Dense, n, p int, lazy bool) ([]int, error) {
+// greedyMIFast is the incremental placement core. cov has already been
+// validated.
+func greedyMIFast(cov *mat.Dense, n, p int) ([]int, error) {
 	s := &gpScorer{
 		cov:   cov,
 		sel:   make([]int, 0, n),
@@ -312,10 +290,6 @@ func greedyMIFast(cov *mat.Dense, n, p int, lazy bool) ([]int, error) {
 	}
 	inSel := make([]bool, p)
 	unsel := make([]int, 0, p)
-	var queue gpHeap
-	if lazy {
-		queue = make(gpHeap, 0, p)
-	}
 	for round := 0; len(s.sel) < n; round++ {
 		gpRoundsTotal.Inc()
 		unsel = unsel[:0]
@@ -327,47 +301,14 @@ func greedyMIFast(cov *mat.Dense, n, p int, lazy bool) ([]int, error) {
 		if err := s.refreshDenominators(unsel); err != nil {
 			return nil, err
 		}
-		var bestY int
-		switch {
-		case !lazy:
-			bestY = -1
-			bestScore := math.Inf(-1)
-			for _, y := range unsel {
-				sc, err := s.score(y)
-				if err != nil {
-					return nil, err
-				}
-				if sc > bestScore {
-					bestScore, bestY = sc, y
-				}
+		bestY, bestScore := -1, math.Inf(-1)
+		for _, y := range unsel {
+			sc, err := s.score(y)
+			if err != nil {
+				return nil, err
 			}
-		case round == 0:
-			// Seed the queue with every candidate's round-0 score.
-			for _, y := range unsel {
-				sc, err := s.score(y)
-				if err != nil {
-					return nil, err
-				}
-				queue.push(gpEntry{score: sc, idx: y, round: 0})
-			}
-			bestY = queue.pop().idx
-		default:
-			bestY = -1
-			for len(queue) > 0 {
-				top := queue.pop()
-				if top.round == round {
-					// Stale bounds of everything below can only shrink
-					// further (submodularity), so top is the argmax;
-					// the remaining queue entries were never touched.
-					gpLazyQueueHitsTotal.Add(int64(len(queue)))
-					bestY = top.idx
-					break
-				}
-				sc, err := s.score(top.idx)
-				if err != nil {
-					return nil, err
-				}
-				queue.push(gpEntry{score: sc, idx: top.idx, round: round})
+			if sc > bestScore {
+				bestScore, bestY = sc, y
 			}
 		}
 		if bestY < 0 {
@@ -379,66 +320,6 @@ func greedyMIFast(cov *mat.Dense, n, p int, lazy bool) ([]int, error) {
 		inSel[bestY] = true
 	}
 	return s.sel, nil
-}
-
-// gpEntry is a lazy-greedy queue element: a candidate with the round
-// its score was last computed in.
-type gpEntry struct {
-	score float64
-	idx   int
-	round int
-}
-
-// gpHeap is a binary max-heap of candidate scores with deterministic
-// lowest-index tie-breaking, so the lazy path resolves exact score ties
-// identically to the reference's ascending strict-> scan.
-type gpHeap []gpEntry
-
-func (h gpHeap) less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
-	}
-	return h[i].idx < h[j].idx
-}
-
-func (h *gpHeap) push(e gpEntry) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *gpHeap) pop() gpEntry {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q) && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(q) && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
-	}
-	return top
 }
 
 // SyntheticCovariance builds a p×p SPD sensor covariance for scale

@@ -40,11 +40,11 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestGreedyMIFastLazyNaiveIdentical is the determinism suite: the
-// incremental path, the lazy-greedy path and the retained naive
-// reference must pick the same sensors in the same order across sizes,
-// seeds and both SPD fixture families.
-func TestGreedyMIFastLazyNaiveIdentical(t *testing.T) {
+// TestGreedyMIFastNaiveIdentical is the determinism suite: the
+// incremental path and the retained naive reference must pick the same
+// sensors in the same order across sizes, seeds and both SPD fixture
+// families.
+func TestGreedyMIFastNaiveIdentical(t *testing.T) {
 	for _, p := range []int{5, 27, 60} {
 		for seed := int64(1); seed <= 4; seed++ {
 			for _, build := range []struct {
@@ -63,22 +63,15 @@ func TestGreedyMIFastLazyNaiveIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("p=%d seed=%d %s: fast: %v", p, seed, build.name, err)
 				}
-				lazy, err := GreedyMIOpts(build.cov, n, GreedyMIOptions{Lazy: true})
-				if err != nil {
-					t.Fatalf("p=%d seed=%d %s: lazy: %v", p, seed, build.name, err)
-				}
 				if !equalInts(fast, naive) {
 					t.Errorf("p=%d seed=%d %s: fast %v != naive %v", p, seed, build.name, fast, naive)
-				}
-				if !equalInts(lazy, naive) {
-					t.Errorf("p=%d seed=%d %s: lazy %v != naive %v", p, seed, build.name, lazy, naive)
 				}
 			}
 		}
 	}
 }
 
-// TestGreedyMIFullSelection drives every path to n == p (the last
+// TestGreedyMIFullSelection drives both paths to n == p (the last
 // round has a single candidate and an empty complement) across several
 // sizes — the edge the precision-diagonal shortcut must special-case.
 func TestGreedyMIFullSelection(t *testing.T) {
@@ -93,12 +86,8 @@ func TestGreedyMIFullSelection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d seed=%d fast: %v", p, seed, err)
 			}
-			lazy, err := GreedyMIOpts(cov, p, GreedyMIOptions{Lazy: true})
-			if err != nil {
-				t.Fatalf("p=%d seed=%d lazy: %v", p, seed, err)
-			}
-			if !equalInts(fast, naive) || !equalInts(lazy, naive) {
-				t.Errorf("p=%d seed=%d: fast %v lazy %v naive %v", p, seed, fast, lazy, naive)
+			if !equalInts(fast, naive) {
+				t.Errorf("p=%d seed=%d: fast %v naive %v", p, seed, fast, naive)
 			}
 		}
 	}
@@ -106,7 +95,7 @@ func TestGreedyMIFullSelection(t *testing.T) {
 
 // TestGreedyMITieBreakLowestIndex pins the tie-break rule: on an
 // identity covariance every candidate scores identically in every
-// round, so all three paths must select 0, 1, 2, ... in index order.
+// round, so both paths must select 0, 1, 2, ... in index order.
 func TestGreedyMITieBreakLowestIndex(t *testing.T) {
 	const p, n = 8, 4
 	cov := mat.Identity(p)
@@ -114,9 +103,6 @@ func TestGreedyMITieBreakLowestIndex(t *testing.T) {
 	for name, f := range map[string]func(*mat.Dense, int) ([]int, error){
 		"naive": GreedyMINaive,
 		"fast":  GreedyMI,
-		"lazy": func(c *mat.Dense, k int) ([]int, error) {
-			return GreedyMIOpts(c, k, GreedyMIOptions{Lazy: true})
-		},
 	} {
 		got, err := f(cov, n)
 		if err != nil {
@@ -130,7 +116,7 @@ func TestGreedyMITieBreakLowestIndex(t *testing.T) {
 
 // TestGreedyMIRejectsNonFinite covers the regression where NaN/Inf
 // covariance entries made every score NaN, bestY stayed -1 and the -1
-// index panicked downstream: all paths must now return a wrapped
+// index panicked downstream: both paths must now return a wrapped
 // mat.ErrNonFinite instead.
 func TestGreedyMIRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -140,9 +126,6 @@ func TestGreedyMIRejectsNonFinite(t *testing.T) {
 		for name, f := range map[string]func(*mat.Dense, int) ([]int, error){
 			"naive": GreedyMINaive,
 			"fast":  GreedyMI,
-			"lazy": func(c *mat.Dense, k int) ([]int, error) {
-				return GreedyMIOpts(c, k, GreedyMIOptions{Lazy: true})
-			},
 		} {
 			sel, err := f(cov, 3)
 			if !errors.Is(err, mat.ErrNonFinite) {
@@ -153,7 +136,7 @@ func TestGreedyMIRejectsNonFinite(t *testing.T) {
 }
 
 // TestGreedyMINaiveValidation mirrors the shape/size checks across the
-// naive reference (the fast paths inherit them from the same helper).
+// naive reference (the fast path inherits them from the same helper).
 func TestGreedyMINaiveValidation(t *testing.T) {
 	cov := SyntheticCovariance(4, 1)
 	if _, err := GreedyMINaive(mat.NewDense(2, 3), 1); !errors.Is(err, mat.ErrShape) {
@@ -168,7 +151,7 @@ func TestGreedyMINaiveValidation(t *testing.T) {
 }
 
 // TestGreedyMIAgreesOnInformativeFixture re-runs the package's
-// original hand-built fixture through all three paths.
+// original hand-built fixture through both paths.
 func TestGreedyMIAgreesOnInformativeFixture(t *testing.T) {
 	cov := mat.NewDenseData(3, 3, []float64{
 		1.5, 1.0, 1.0,
@@ -178,9 +161,6 @@ func TestGreedyMIAgreesOnInformativeFixture(t *testing.T) {
 	for name, f := range map[string]func(*mat.Dense, int) ([]int, error){
 		"naive": GreedyMINaive,
 		"fast":  GreedyMI,
-		"lazy": func(c *mat.Dense, k int) ([]int, error) {
-			return GreedyMIOpts(c, k, GreedyMIOptions{Lazy: true})
-		},
 	} {
 		sel, err := f(cov, 1)
 		if err != nil {
@@ -214,7 +194,7 @@ func TestSyntheticCovariance(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyMI compares the three paths at the paper's size; the
+// BenchmarkGreedyMI compares the two paths at the paper's size; the
 // large-p matrix lives in internal/benchgp (make bench-gp).
 func BenchmarkGreedyMI(b *testing.B) {
 	cov := SyntheticCovariance(27, 9)
@@ -222,13 +202,6 @@ func BenchmarkGreedyMI(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := GreedyMI(cov, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lazy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := GreedyMIOpts(cov, n, GreedyMIOptions{Lazy: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

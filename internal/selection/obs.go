@@ -4,10 +4,9 @@ import "auditherm/internal/obs"
 
 // Sensor-selection instrumentation on the obs Default registry: one
 // atomic increment per selection or scoring call, plus the GP
-// placement kernel's work counters (rounds, candidate scorings,
-// factorization activity and lazy-queue pruning), which make the
-// O(n·p^4) → O(n·p^3) drop and the lazy-greedy savings directly
-// observable on /metrics.
+// placement kernel's work counters (rounds, candidate scorings and
+// factorization activity), which make the O(n·p^4) → O(n·p^3) drop
+// directly observable on /metrics.
 var (
 	selectionsTotal = obs.NewCounter("auditherm_selection_selections_total",
 		"Sensor selections performed (all strategies).")
@@ -16,9 +15,7 @@ var (
 	gpRoundsTotal = obs.NewCounter("auditherm_selection_gp_rounds_total",
 		"GP placement greedy rounds executed (one sensor added per round).")
 	gpCandidateEvalsTotal = obs.NewCounter("auditherm_selection_gp_candidate_evals_total",
-		"GP placement candidate MI scores computed (naive, incremental and lazy paths).")
-	gpLazyQueueHitsTotal = obs.NewCounter("auditherm_selection_gp_lazy_queue_hits_total",
-		"GP placement candidate evaluations skipped by the lazy-greedy priority queue.")
+		"GP placement candidate MI scores computed (naive and incremental paths).")
 	gpFactorUpdatesTotal = obs.NewCounter("auditherm_selection_gp_factor_updates_total",
 		"GP placement O(k^2) rank-grow updates applied to the selected-set Cholesky factor.")
 	gpFactorizationsTotal = obs.NewCounter("auditherm_selection_gp_factorizations_total",

@@ -192,14 +192,16 @@ func (s *Server) parseSysid(q url.Values) (map[string]string, computeFn, error) 
 }
 
 // parseCluster: GET /v1/cluster?metric=correlation&k=0&on=6&off=21&seed=11
-// → spectral clustering; the body is the ClusterArtifact.
+// → spectral clustering; the body is the ClusterArtifact. k = 0 picks
+// the cluster count by eigengap; k may not exceed the daemon dataset's
+// sensor count.
 func (s *Server) parseCluster(q url.Values) (map[string]string, computeFn, error) {
 	params := map[string]string{}
 	metric, err := parseMetric(qStr(q, params, "metric", "correlation"))
 	if err != nil {
 		return nil, nil, err
 	}
-	k, err := qInt(q, params, "k", 0)
+	k, err := qIntIn(q, params, "k", 0, 0, s.sensors)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,16 +229,17 @@ func (s *Server) parseCluster(q url.Values) (map[string]string, computeFn, error
 	return params, compute, nil
 }
 
-// parseSelect: GET /v1/select?metric=correlation&k=2&seeds=10&gp=fast&on=6&off=21
+// parseSelect: GET /v1/select?metric=correlation&k=2&seeds=10&on=6&off=21
 // → cluster (training half) → representative selection; the body is
-// the SelectionArtifact with per-method scores.
+// the SelectionArtifact with per-method scores (SMS, SRS, RS and the
+// incremental GP placement). k is bounded as in parseCluster.
 func (s *Server) parseSelect(q url.Values) (map[string]string, computeFn, error) {
 	params := map[string]string{}
 	metric, err := parseMetric(qStr(q, params, "metric", "correlation"))
 	if err != nil {
 		return nil, nil, err
 	}
-	k, err := qInt(q, params, "k", 2)
+	k, err := qIntIn(q, params, "k", 2, 0, s.sensors)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,7 +247,6 @@ func (s *Server) parseSelect(q url.Values) (map[string]string, computeFn, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	gpMode := qStr(q, params, "gp", "fast")
 	onHour, offHour, err := qHours(q, params, 6, 21)
 	if err != nil {
 		return nil, nil, err
@@ -258,7 +260,7 @@ func (s *Server) parseSelect(q url.Values) (map[string]string, computeFn, error)
 		})
 		sa, err := pipeline.SelectRepresentatives(eng, frame, clusters, pipeline.SelectConfig{
 			OnHour: onHour, OffHour: offHour,
-			Seeds: seeds, GPMode: gpMode,
+			Seeds: seeds, GPMode: "fast",
 		}).Get(ctx)
 		if err != nil {
 			return nil, err

@@ -406,7 +406,10 @@ func TestBadParameters(t *testing.T) {
 		"/v1/sysid?order=9",
 		"/v1/sysid?mode=weekend",
 		"/v1/cluster?metric=cosine",
+		"/v1/cluster?k=100",
+		"/v1/cluster?k=-3",
 		"/v1/select?seeds=0",
+		"/v1/select?k=100",
 		"/v1/control?controller=bangbang",
 		"/v1/control?days=0",
 		"/v1/report",

@@ -85,36 +85,6 @@ func (f *Frame) ValidSegments(minLen int) ([]Segment, error) {
 	return out, nil
 }
 
-// SliceSteps returns a frame restricted to grid steps [k0, k1).
-// Values are copied.
-func (f *Frame) SliceSteps(k0, k1 int) (*Frame, error) {
-	if k0 < 0 || k1 > f.Grid.N || k0 > k1 {
-		return nil, fmt.Errorf("timeseries: slice [%d,%d) of frame with %d steps", k0, k1, f.Grid.N)
-	}
-	g := Grid{Start: f.Grid.Time(k0), Step: f.Grid.Step, N: k1 - k0}
-	out := NewFrame(g, f.Channels)
-	for i := range f.Values {
-		copy(out.Values[i], f.Values[i][k0:k1])
-	}
-	return out, nil
-}
-
-// SelectChannels returns a frame with only the named channels, in the
-// given order. Values are copied.
-func (f *Frame) SelectChannels(names []string) (*Frame, error) {
-	out := NewFrame(f.Grid, names)
-	for _, name := range names {
-		src, err := f.Channel(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.SetChannel(name, src); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // MissingFraction returns the fraction of (channel, step) cells that
 // are not finite. An empty frame reports 0.
 func (f *Frame) MissingFraction() float64 {

@@ -71,57 +71,6 @@ func TestFrameValidSegments(t *testing.T) {
 	}
 }
 
-func TestSliceSteps(t *testing.T) {
-	f := testFrame(t)
-	if err := f.SetChannel("a", []float64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := f.SliceSteps(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Grid.N != 2 || !s.Grid.Start.Equal(t0.Add(15*time.Minute)) {
-		t.Errorf("sliced grid = %+v", s.Grid)
-	}
-	vals, _ := s.Channel("a")
-	if vals[0] != 2 || vals[1] != 3 {
-		t.Errorf("sliced values = %v", vals)
-	}
-	// Copy semantics.
-	vals[0] = 99
-	orig, _ := f.Channel("a")
-	if orig[1] == 99 {
-		t.Error("SliceSteps must copy values")
-	}
-	if _, err := f.SliceSteps(-1, 2); err == nil {
-		t.Error("negative start accepted")
-	}
-	if _, err := f.SliceSteps(3, 2); err == nil {
-		t.Error("reversed range accepted")
-	}
-}
-
-func TestSelectChannels(t *testing.T) {
-	f := testFrame(t)
-	if err := f.SetChannel("b", []float64{5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := f.SelectChannels([]string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Channels) != 1 || s.Channels[0] != "b" {
-		t.Errorf("channels = %v", s.Channels)
-	}
-	vals, _ := s.Channel("b")
-	if vals[3] != 8 {
-		t.Errorf("selected values = %v", vals)
-	}
-	if _, err := f.SelectChannels([]string{"zzz"}); err == nil {
-		t.Error("unknown channel accepted")
-	}
-}
-
 func TestMissingFraction(t *testing.T) {
 	f := testFrame(t)
 	if err := f.SetChannel("a", []float64{1, 2, 3, 4}); err != nil {
