@@ -90,6 +90,9 @@ flake:
 # FuzzClusterCodecDecode / FuzzSelectionCodecDecode: the same for
 # clusterings and selections, whose decoded values must also index
 # safely: cluster members, per-cluster means and selected sensors.
+# FuzzStageCodecDecode: the same fixed-point and trailing-byte property
+# for the evaluation, control, fleet-building and fleet-report JSON
+# codecs; the target's first argument picks the codec.
 # FuzzEncodeEnvelope: for any codec name, version, payload string and
 # float, the artifact envelope written directly is byte for byte what
 # json.Encoder writes for it, or both fail.
@@ -118,7 +121,8 @@ flake:
 # bits and error of the math.Pow reference it replaced.
 # FuzzServeQuery: for any raw query, every serve endpoint's parser
 # either errors or returns parameters inside their bounds (day counts,
-# seeds, hours, a positive horizon, finite floats), and never panics.
+# seeds, hours, a cluster count k within the sensor count, a positive
+# horizon, finite floats), and never panics.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompanionSpectralRadius$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzModelCodecDecode$$' -fuzztime 10s ./internal/artifact
@@ -126,6 +130,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDatasetCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzStageCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeEnvelope$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalStoreTorn$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPath$$' -fuzztime 10s ./internal/artifact
@@ -143,16 +148,16 @@ bench:
 	$(GO) test -run '^$$' -bench . ./internal/dataset ./internal/cluster ./internal/obs
 
 # Regenerate the GP sensor-placement benchmark matrix in BENCH_gp.json
-# (incremental vs lazy vs naive GreedyMI at p = 27/100/300, with the
-# fast==lazy==naive selection-equality gate and a >=10x fast-vs-naive
-# floor at p=300). The naive O(n*p^4) reference runs once per size, so
+# (incremental vs naive GreedyMI at p = 27/100/300, with the
+# fast==naive selection-equality gate and a >=10x fast-vs-naive floor
+# at p=300). The naive O(n*p^4) reference runs once per size, so
 # expect this target to take a minute or two.
 bench-gp:
 	$(GO) test ./internal/benchgp -run RecordGPBench -record-gp-bench -timeout 30m
 
 # Regenerate the model-health monitoring benchmark matrix in
 # BENCH_monitor.json (steady-state Update/UpdateAt, the 27-sensor
-# decision-step sweep, Snapshot, and the one-step sysid predictor).
+# decision-step sweep and Snapshot).
 # The steady-state zero-allocs gate must hold or the file is not
 # written.
 bench-monitor:

@@ -22,7 +22,7 @@ import (
 // whose dimensions overflow int.
 func FuzzModelCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFixedPoint(t, ModelCodec, data)
+		CheckFixedPoint(t, ModelCodec, data)
 	})
 }
 
@@ -31,7 +31,7 @@ func FuzzModelCodecDecode(f *testing.F) {
 // whose n is not backed by cells.
 func FuzzFrameCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFixedPoint(t, FrameCodec, data)
+		CheckFixedPoint(t, FrameCodec, data)
 	})
 }
 
@@ -40,7 +40,7 @@ func FuzzFrameCodecDecode(f *testing.F) {
 // cells including a missing one, one event and one outage.
 func FuzzDatasetCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFixedPoint(t, DatasetCodec, data)
+		CheckFixedPoint(t, DatasetCodec, data)
 	})
 }
 
@@ -61,7 +61,7 @@ func FuzzClusterCodecDecode(f *testing.F) {
 				_ = ca.Sensors[i]
 			}
 		}
-		checkFixedPoint(t, ClusterCodec, data)
+		CheckFixedPoint(t, ClusterCodec, data)
 	})
 }
 
@@ -82,7 +82,7 @@ func FuzzSelectionCodecDecode(f *testing.F) {
 				}
 			}
 		}
-		checkFixedPoint(t, SelectionCodec, data)
+		CheckFixedPoint(t, SelectionCodec, data)
 	})
 }
 
@@ -170,11 +170,12 @@ func FuzzEncodeEnvelope(f *testing.F) {
 	})
 }
 
-// checkFixedPoint decodes data with c and, if that succeeds, requires
+// CheckFixedPoint decodes data with c and, if that succeeds, requires
 // a non-whitespace byte appended to data to fail the decode, and
 // Encode → Decode → Encode to reproduce the first encoding byte for
-// byte.
-func checkFixedPoint[T any](t *testing.T, c Codec[T], data []byte) {
+// byte. It is exported for the stage codecs' fuzz target in the
+// external test package.
+func CheckFixedPoint[T any](t *testing.T, c Codec[T], data []byte) {
 	v, err := c.Decode(bytes.NewReader(data))
 	if err != nil {
 		return

@@ -89,6 +89,27 @@ func TestDecodersRejectTrailingBytes(t *testing.T) {
 	}
 }
 
+// FuzzStageCodecDecode is FuzzModelCodecDecode for the JSON codecs of
+// the evaluation, control and fleet stages; codec picks which one
+// decodes data. Any input either fails to decode or decodes to a value
+// whose encoding is a fixed point and that no longer decodes with a
+// non-whitespace byte appended; nothing panics. The seed corpus holds
+// each codec's encoding of a small fleet's real artifacts.
+func FuzzStageCodecDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, codec uint8, data []byte) {
+		switch codec % 4 {
+		case 0:
+			artifact.CheckFixedPoint(t, pipeline.EvalCodec, data)
+		case 1:
+			artifact.CheckFixedPoint(t, pipeline.ControlCodec, data)
+		case 2:
+			artifact.CheckFixedPoint(t, fleet.BuildingCodec, data)
+		default:
+			artifact.CheckFixedPoint(t, fleet.ReportCodec, data)
+		}
+	})
+}
+
 // TestTornStageArtifactsRecompute publishes a one-building fleet's
 // stage artifacts to a local store, then damages one in each way an OS
 // crash or a bad disk can: cut to nothing, cut inside the payload or
