@@ -78,6 +78,16 @@ type Config struct {
 	Node      sensornet.NodeConfig
 }
 
+// Sensors returns the config's sensor deployment: the archetype's when
+// Spec is set (a valid Spec; an invalid one yields nil), the paper's
+// 27-sensor auditorium layout otherwise.
+func (c Config) Sensors() []building.SensorSpec {
+	if c.Spec != nil {
+		return c.Spec.Sensors()
+	}
+	return building.AuditoriumSensors()
+}
+
 // DefaultConfig reproduces the paper's trace shape: 98 days from
 // January 31, 2013, 15-minute identification grid, roughly a third of
 // the days lost to failures.
@@ -217,23 +227,18 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 
 	var sim building.Building
-	var sensors []building.SensorSpec
 	if cfg.Spec != nil {
 		if err := cfg.Spec.Validate(); err != nil {
 			return nil, fmt.Errorf("dataset: building spec: %w", err)
 		}
 		sim, err = cfg.Spec.New()
-		if err != nil {
-			return nil, fmt.Errorf("dataset: building: %w", err)
-		}
-		sensors = cfg.Spec.Sensors()
 	} else {
 		sim, err = building.NewSimulator(cfg.Building)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: building: %w", err)
-		}
-		sensors = building.AuditoriumSensors()
 	}
+	if err != nil {
+		return nil, fmt.Errorf("dataset: building: %w", err)
+	}
+	sensors := cfg.Sensors()
 
 	outages := sensornet.GenerateOutages(cfg.Start, end, cfg.NumLongOutages, cfg.NumShortOutages, cfg.Seed+200)
 	store := sensornet.NewStore(outages)
