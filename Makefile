@@ -1,14 +1,21 @@
 # auditherm build/verify targets. `make check` is the tier-1 gate
-# (see ROADMAP.md): vet, build, race-test the concurrency-sensitive
-# packages, then run the full suite.
+# (see ROADMAP.md): format and vet, build, race-test the
+# concurrency-sensitive packages, then run the full suite. The suite
+# also holds the performance floors: zero-alloc hot paths, the sharded
+# store against its flat reference, the GP fast path against the naive
+# one, warm pipeline and fleet reruns against cold ones, and the
+# daemon's p99 and hit rate under load.
 
 GO ?= go
 
-.PHONY: check vet cross build examples test race flake fuzz bench bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet cross build examples test race flake fuzz clean
 
 check: vet cross build examples race test
 
+# gofmt -l lists every file gofmt would rewrite; any listed file
+# fails the gate.
 vet:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l:"; echo "$$files"; exit 1; fi
 	$(GO) vet ./...
 
 # The spectral-radius kernel has an AVX2 assembly file for amd64 and a
@@ -141,80 +148,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/building
 	$(GO) test -run '^$$' -fuzz '^FuzzPMV$$' -fuzztime 10s ./internal/comfort
 	$(GO) test -run '^$$' -fuzz '^FuzzServeQuery$$' -fuzztime 10s ./internal/serve
-
-# Refresh the observability/perf baseline recorded in BENCH_obs.json.
-bench:
-	$(GO) test -run '^$$' -bench 'KernelDatasetDay|KernelEigenSym25|KernelFitSecondOrder|Figure6' -benchtime 5x .
-	$(GO) test -run '^$$' -bench . ./internal/dataset ./internal/cluster ./internal/obs
-
-# Regenerate the GP sensor-placement benchmark matrix in BENCH_gp.json
-# (incremental vs naive GreedyMI at p = 27/100/300, with the
-# fast==naive selection-equality gate and a >=10x fast-vs-naive floor
-# at p=300). The naive O(n*p^4) reference runs once per size, so
-# expect this target to take a minute or two.
-bench-gp:
-	$(GO) test ./internal/benchgp -run RecordGPBench -record-gp-bench -timeout 30m
-
-# Regenerate the model-health monitoring benchmark matrix in
-# BENCH_monitor.json (steady-state Update/UpdateAt, the 27-sensor
-# decision-step sweep and Snapshot).
-# The steady-state zero-allocs gate must hold or the file is not
-# written.
-bench-monitor:
-	$(GO) test ./internal/benchmonitor -run RecordMonitorBench -record-monitor-bench
-
-# Regenerate the pipeline cold/warm cache benchmark in
-# BENCH_pipeline.json (the full paper DAG against an empty then a
-# warm artifact store). The warm rerun must be >=5x faster than cold
-# with every artifact digest bit-identical, or the file is not
-# written.
-bench-pipeline:
-	$(GO) test ./internal/benchpipeline -run RecordPipelineBench -record-pipeline-bench
-
-# Regenerate the tracing hot-path baseline in BENCH_trace.json (span
-# lifecycle, JSONL export, histogram exemplars). The zero-alloc gates
-# — trace encode 0 allocs/op, ObserveSpan 0 allocs/op, exporter adds 0
-# allocs to span end — must hold or the file is not written.
-bench-trace:
-	$(GO) test ./internal/obs -run RecordTraceBench -record-trace-bench
-
-# Regenerate the artifact-storage tier benchmark in BENCH_store.json
-# (concurrent mixed Put/Get on the sharded store vs the pre-sharding
-# flat reference, memory-tier warm Get, tiered read-through). Three
-# gates must hold or the file is not written: sharded >=2x flat at 8
-# workers, memory-tier warm Get 0 allocs/op with no filesystem, and
-# eviction holding the byte budget with every surviving Get
-# bit-identical.
-bench-store:
-	$(GO) test ./internal/benchstore -run RecordStoreBench -record-store-bench
-
-# Regenerate the serving-daemon load benchmark in BENCH_serve.json
-# (>=1000 mixed sysid/cluster/select/report/control requests at
-# concurrency 16 against a warmed daemon, then a graceful drain under
-# load). Three gates must hold or the file is not written: steady-state
-# p99 under 500ms, warm-cache hit rate >=90%, and zero in-flight
-# responses lost to the drain.
-bench-serve:
-	$(GO) test ./internal/benchserve -run RecordServeBench -record-serve-bench
-
-# Regenerate the fleet-scale pipeline benchmark in BENCH_fleet.json
-# (a 16-building mixed-archetype portfolio through the full pipeline,
-# cold at 1 and 8 workers, then warm). Three gates: report bytes
-# identical across every run, warm re-run >=10x cold, and — on
-# multi-core machines — 8-worker cold >=3x serial (recorded but not
-# enforced on a single-CPU host; see the "note" field).
-bench-fleet:
-	$(GO) test ./internal/benchfleet -run RecordFleetBench -record-fleet-bench -timeout 30m
-
-# Re-run every runnable benchmark recorded in the BENCH_*.json
-# baselines and fail (exit 2) on ns/op regressions beyond the
-# tolerance or any allocs/op increase. The target widens the ns/op
-# tolerance to 50% (CLI default is 25%) because shared/virtualized
-# hosts show that much run-to-run timing noise; the allocs/op gates
-# are exact regardless. CI runs the BENCH_trace.json subset with
-# -benchtime 1x as a smoke test.
-benchdiff:
-	$(GO) run ./cmd/tracetool benchdiff -tolerance 0.5
 
 clean:
 	$(GO) clean ./...

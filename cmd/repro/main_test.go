@@ -219,7 +219,7 @@ func TestForceRecomputesButMatches(t *testing.T) {
 // TestTraceRoundTrip is the tracing acceptance path: a -trace run
 // writes a JSONL trace whose pipeline spans carry cache hit/miss
 // attributes, the manifest references the trace file (plus the
-// environment fields diff/benchdiff compare), and both tracetool
+// environment fields tracetool diff compares), and both tracetool
 // renderers — the text report and the Chrome converter — consume it.
 func TestTraceRoundTrip(t *testing.T) {
 	cache := t.TempDir()

@@ -1,10 +1,8 @@
 // Command tracetool is the offline observatory over auditherm's run
 // artifacts: it renders -trace JSONL span files as text reports or
 // Chrome trace_event JSON, stitches traces from several processes into
-// one cross-process tree via their X-Auditherm-Trace links, diffs the
-// stage timings of two runs (traces or manifests), and gates live
-// benchmark performance against the repo's recorded BENCH_*.json
-// baselines.
+// one cross-process tree via their X-Auditherm-Trace links, and diffs
+// the stage timings of two runs (traces or manifests).
 //
 // Usage:
 //
@@ -12,22 +10,16 @@
 //	tracetool chrome [-o out.json] <trace.jsonl>...
 //	tracetool merge [-chrome out.json] <trace.jsonl> <trace.jsonl>...
 //	tracetool diff <runA> <runB>          (trace or manifest each)
-//	tracetool benchdiff [-baseline BENCH_obs.json ...] [-tolerance 0.25]
-//	                    [-benchtime 1x] [-input canned.txt] [-host-check warn]
 //
 // report and chrome accept several trace files and merge them first;
 // merge always renders the cross-process report (per-process
 // provenance, link accounting, wire-vs-server critical path).
-// benchdiff exits 2 on a regression so CI can gate on it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"auditherm/internal/traceview"
 )
@@ -47,8 +39,6 @@ func main() {
 		err = merge(os.Args[2:])
 	case "diff":
 		err = diff(os.Args[2:])
-	case "benchdiff":
-		err = benchdiff(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -69,7 +59,6 @@ func usage() {
   tracetool chrome [-o f] <trace.jsonl>... convert to Chrome trace_event JSON (Perfetto)
   tracetool merge [flags] <trace.jsonl>... stitch multi-process traces by their links
   tracetool diff <runA> <runB>             stage-level wall-time diff (trace or manifest)
-  tracetool benchdiff [flags]              gate live benchmarks against BENCH_*.json
 
 report and chrome accept several trace files and merge them first.`)
 }
@@ -191,119 +180,4 @@ func diff(args []string) error {
 		return err
 	}
 	return traceview.WriteDiff(os.Stdout, a, b)
-}
-
-// multiFlag collects a repeatable -baseline flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-func benchdiff(args []string) error {
-	fs := flag.NewFlagSet("benchdiff", flag.ExitOnError)
-	var baselines multiFlag
-	fs.Var(&baselines, "baseline", "baseline BENCH_*.json file (repeatable; default: ./BENCH_*.json)")
-	tol := fs.Float64("tolerance", 0.25, "relative ns/op slack before a slowdown is a regression")
-	benchtime := fs.String("benchtime", "", "go test -benchtime (e.g. 1x for a smoke pass; empty keeps the go default)")
-	input := fs.String("input", "", "parse canned `go test -bench` output from this file instead of running benchmarks")
-	hostCheck := fs.String("host-check", "warn", "recorded-vs-live environment policy: warn, strict (mismatch fails) or ignore")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch *hostCheck {
-	case "warn", "strict", "ignore":
-	default:
-		return fmt.Errorf("benchdiff: -host-check %q (want warn, strict or ignore)", *hostCheck)
-	}
-	if len(baselines) == 0 {
-		found, err := filepath.Glob("BENCH_*.json")
-		if err != nil {
-			return err
-		}
-		baselines = found
-	}
-	if len(baselines) == 0 {
-		return fmt.Errorf("benchdiff: no baseline files (pass -baseline or run from the repo root)")
-	}
-	sort.Strings(baselines)
-
-	var all []traceview.Baseline
-	mismatched := false
-	for _, path := range baselines {
-		bs, env, err := traceview.LoadBaselines(path)
-		if err != nil {
-			return err
-		}
-		if mm := env.Mismatch(); mm != "" && *hostCheck != "ignore" {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s recorded on a different environment: %s\n", path, mm)
-			mismatched = true
-		}
-		all = append(all, bs...)
-	}
-	if mismatched && *hostCheck == "strict" {
-		return fmt.Errorf("benchdiff: environment mismatch under -host-check strict; timings are not comparable")
-	}
-
-	live := map[string]map[string]traceview.BenchResult{}
-	record := func(pkg string, results []traceview.BenchResult) {
-		if live[pkg] == nil {
-			live[pkg] = map[string]traceview.BenchResult{}
-		}
-		for _, r := range results {
-			live[pkg][r.Name] = r
-		}
-	}
-	if *input != "" {
-		f, err := os.Open(*input)
-		if err != nil {
-			return err
-		}
-		results, perr := traceview.ParseGoBench(f)
-		f.Close()
-		if perr != nil {
-			return perr
-		}
-		// Canned output carries no package identity: offer each result
-		// under every package a baseline wants, name match decides.
-		pkgs := map[string]bool{}
-		for _, b := range all {
-			if b.Pkg != "" {
-				pkgs[b.Pkg] = true
-			}
-		}
-		for pkg := range pkgs {
-			record(pkg, results)
-		}
-	} else {
-		byPkg := map[string][]string{}
-		for _, b := range all {
-			if b.Pkg != "" {
-				byPkg[b.Pkg] = append(byPkg[b.Pkg], b.Fn)
-			}
-		}
-		pkgs := make([]string, 0, len(byPkg))
-		for pkg := range byPkg {
-			pkgs = append(pkgs, pkg)
-		}
-		sort.Strings(pkgs)
-		for _, pkg := range pkgs {
-			fmt.Fprintf(os.Stderr, "benchdiff: running %d benchmarks in %s...\n", len(byPkg[pkg]), pkg)
-			out, err := traceview.RunGoBench(pkg, byPkg[pkg], *benchtime)
-			if err != nil {
-				return err
-			}
-			results, err := traceview.ParseGoBench(strings.NewReader(out))
-			if err != nil {
-				return err
-			}
-			record(pkg, results)
-		}
-	}
-
-	cs := traceview.Compare(all, live, *tol)
-	traceview.WriteComparisons(os.Stdout, cs)
-	if traceview.Failed(cs) {
-		os.Exit(2)
-	}
-	return nil
 }

@@ -158,6 +158,17 @@ func (sp Spec) Sensors() []SensorSpec {
 	}
 }
 
+// SensorsOf returns the sensor deployment of the building that spec
+// describes: the archetype's (a valid spec; an invalid one yields
+// nil), or the paper's 27-sensor auditorium layout when spec is nil,
+// the default building.
+func SensorsOf(spec *Spec) []SensorSpec {
+	if spec == nil {
+		return AuditoriumSensors()
+	}
+	return spec.Sensors()
+}
+
 // Dims returns the floor-plan extent (depth along X, width along Y) in
 // meters, the domain over which Points are interpreted.
 func (sp Spec) Dims() (depth, width float64) {

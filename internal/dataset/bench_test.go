@@ -21,7 +21,7 @@ func benchConfig() Config {
 // BenchmarkGenerate is the instrumentation-overhead sentinel: the obs
 // counters on the simulator/dataset hot path must stay within 5% of a
 // registry-free build (they are single atomic ops per Step/Generate,
-// not per cell). Record results in BENCH_obs.json.
+// not per cell).
 func BenchmarkGenerate(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()

@@ -78,14 +78,10 @@ type Config struct {
 	Node      sensornet.NodeConfig
 }
 
-// Sensors returns the config's sensor deployment: the archetype's when
-// Spec is set (a valid Spec; an invalid one yields nil), the paper's
-// 27-sensor auditorium layout otherwise.
+// Sensors returns the sensor deployment of the config's building,
+// building.SensorsOf(c.Spec).
 func (c Config) Sensors() []building.SensorSpec {
-	if c.Spec != nil {
-		return c.Spec.Sensors()
-	}
-	return building.AuditoriumSensors()
+	return building.SensorsOf(c.Spec)
 }
 
 // DefaultConfig reproduces the paper's trace shape: 98 days from

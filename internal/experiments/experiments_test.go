@@ -304,7 +304,7 @@ func TestTableIIPaperOrdering(t *testing.T) {
 // TestGPPathsAgreeOnAuditoriumCovariance runs both GreedyMI
 // implementations at k=2 clusters over the training covariance the
 // paper's GP baseline uses — the in-pipeline analogue of the synthetic
-// determinism suite in internal/selection and of the bench-gp gate.
+// determinism suite in internal/selection.
 func TestGPPathsAgreeOnAuditoriumCovariance(t *testing.T) {
 	e := sharedEnvT(t)
 	sc, err := e.newSelectionContext(2)

@@ -10,9 +10,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"auditherm/internal/artifact"
 	"auditherm/internal/building"
@@ -263,20 +265,33 @@ func TestFleetReportGolden(t *testing.T) {
 // TestFleetReportDeterminism is the tentpole acceptance gate: a
 // 32-building mixed-archetype fleet completes the full pipeline and
 // its report is byte-identical across worker counts and across
-// cold/warm runs — and the warm run is pure cache hits.
+// cold/warm runs — and the warm run is pure cache hits, at least
+// minWarmSpeedup times faster than the cold serial run. On a host
+// with at least minParCPUs cores, 8 workers must also beat serial by
+// minParSpeedup; fewer cores cannot reach that factor.
 func TestFleetReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute fleet run")
 	}
+	const (
+		minWarmSpeedup = 10.0
+		minParSpeedup  = 3.0
+		minParCPUs     = 4
+	)
 	cfg := DefaultConfig()
 	cfg.N = 32
 	cfg.Seed = 7
 
+	timed := func(dir string, workers int) ([]byte, []pipeline.Result, time.Duration) {
+		t0 := time.Now()
+		rep, res := runFleet(t, cfg, dir, workers)
+		return rep, res, time.Since(t0)
+	}
 	dirA := t.TempDir()
-	cold1, _ := runFleet(t, cfg, dirA, 1)
-	warm4, res4 := runFleet(t, cfg, dirA, 4)
+	cold1, _, wallCold1 := timed(dirA, 1)
+	warm4, res4, wallWarm4 := timed(dirA, 4)
 	dirB := t.TempDir()
-	cold8, _ := runFleet(t, cfg, dirB, 8)
+	cold8, _, wallCold8 := timed(dirB, 8)
 
 	if string(cold1) != string(warm4) {
 		t.Fatal("warm 4-worker report differs from cold serial report")
@@ -288,6 +303,16 @@ func TestFleetReportDeterminism(t *testing.T) {
 		if !r.CacheHit {
 			t.Fatalf("warm re-run recomputed stage %s", r.Stage)
 		}
+	}
+	warmSpeedup := float64(wallCold1) / float64(wallWarm4)
+	parSpeedup := float64(wallCold1) / float64(wallCold8)
+	t.Logf("cold serial %v, warm 4 workers %v (%.0fx), cold 8 workers %v (%.1fx)",
+		wallCold1, wallWarm4, warmSpeedup, wallCold8, parSpeedup)
+	if warmSpeedup < minWarmSpeedup {
+		t.Errorf("warm re-run is %.1fx faster than cold, below the %.0fx floor", warmSpeedup, minWarmSpeedup)
+	}
+	if runtime.NumCPU() >= minParCPUs && parSpeedup < minParSpeedup {
+		t.Errorf("8 workers are %.1fx faster than serial, below the %.0fx floor", parSpeedup, minParSpeedup)
 	}
 
 	var rep Report

@@ -21,8 +21,8 @@ func warmMonitor(b testing.TB) *Monitor {
 	return m
 }
 
-// TestUpdateZeroAllocs is the hard gate behind `make bench-monitor`:
-// the steady-state update path (warmed-up sensor, no state
+// TestUpdateZeroAllocs is the monitor's hot-path gate: the
+// steady-state update path (warmed-up sensor, no state
 // transitions) must not allocate.
 func TestUpdateZeroAllocs(t *testing.T) {
 	m := warmMonitor(t)

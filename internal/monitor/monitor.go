@@ -23,8 +23,8 @@
 // Default registry, logged through an optional slog.Logger, and
 // appended to an optional JSONL alert journal.
 //
-// Hot-path discipline: Update is 0 allocs/op in steady state (see
-// make bench-monitor); journal/log emission allocates only on the
+// Hot-path discipline: Update is 0 allocs/op in steady state
+// (TestUpdateZeroAllocs); journal/log emission allocates only on the
 // rare alarm and transition edges.
 package monitor
 

@@ -6,32 +6,96 @@ import (
 )
 
 // The registry's hot-path cost budget: counters/gauges/histograms are
-// single atomic ops so per-cell simulator loops can carry them. These
-// benchmarks document the per-op cost recorded in BENCH_obs.json.
+// single atomic ops so per-cell simulator loops can carry them.
+//
+// Each fixture below warms its state and returns one steady-state
+// operation. The Benchmark* functions time the operations and
+// TestHotPathsZeroAllocs counts their allocations.
 
-func BenchmarkCounterInc(b *testing.B) {
-	c := NewRegistry().NewCounter("bench_total", "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
+func counterInc(testing.TB) func() {
+	return NewRegistry().NewCounter("bench_total", "").Inc
 }
 
-func BenchmarkGaugeSet(b *testing.B) {
+func gaugeSet(testing.TB) func() {
 	g := NewRegistry().NewGauge("bench_gauge", "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
+	var v float64
+	return func() {
+		v++
+		g.Set(v)
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
+func histogramObserve(testing.TB) func() {
 	h := NewRegistry().NewHistogram("bench_hist", "", DurationBuckets)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.003)
+	return func() { h.Observe(0.003) }
+}
+
+// histogramObserveSpan is the exemplar hot path: Observe plus three
+// atomic stores for the bucket's exemplar slot.
+func histogramObserveSpan(testing.TB) func() {
+	h := NewRegistry().NewHistogram("bench_hist", "", DurationBuckets)
+	sp := newSpan("bench")
+	return func() { h.ObserveSpan(0.003, sp) }
+}
+
+// spanStartEnd is the no-exporter span lifecycle: allocate,
+// attribute, end. A handful of allocations per span (the Span struct
+// and its lazy attr storage).
+func spanStartEnd(testing.TB) func() {
+	var i int64
+	return func() {
+		i++
+		sp := newSpan("bench/span")
+		sp.SetAttr(Int("i", i))
+		sp.End()
 	}
 }
+
+// spanStartEndExport is the same lifecycle with a trace exporter
+// installed until tb's cleanup: End additionally encodes and writes
+// the JSONL line, which must add no allocation.
+func spanStartEndExport(tb testing.TB) func() {
+	t := NewTraceWriter(io.Discard, "bench-run", "bench")
+	prev := SetTraceExporter(t)
+	tb.Cleanup(func() { SetTraceExporter(prev); _ = t.Close() })
+	return spanStartEnd(tb)
+}
+
+// traceEncode isolates the JSONL encoder: a warmed span with attrs,
+// counts and an event, re-encoded every call. This is what keeps
+// -trace safe in a daemon.
+func traceEncode(tb testing.TB) func() {
+	t := NewTraceWriter(io.Discard, "bench-run", "bench")
+	tb.Cleanup(func() { _ = t.Close() })
+	sp := newSpan("bench/encode")
+	sp.SetAttr(String("stage", "simulate"))
+	sp.SetAttr(Bool("cache_hit", true))
+	sp.SetAttr(Float("rmse", 0.42))
+	sp.SetCount("cells", 12345)
+	sp.Event("checkpoint")
+	sp.End()
+	// Warm the scratch buffers so steady state is measured.
+	t.writeSpanLocked(sp)
+	return func() { t.writeSpanLocked(sp) }
+}
+
+// benchOp times one fixture's operation.
+func benchOp(b *testing.B, fixture func(testing.TB) func()) {
+	op := fixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkCounterInc(b *testing.B)           { benchOp(b, counterInc) }
+func BenchmarkGaugeSet(b *testing.B)             { benchOp(b, gaugeSet) }
+func BenchmarkHistogramObserve(b *testing.B)     { benchOp(b, histogramObserve) }
+func BenchmarkHistogramObserveSpan(b *testing.B) { benchOp(b, histogramObserveSpan) }
+func BenchmarkSpanStartEnd(b *testing.B)         { benchOp(b, spanStartEnd) }
+func BenchmarkSpanStartEndExport(b *testing.B)   { benchOp(b, spanStartEndExport) }
+func BenchmarkTraceEncode(b *testing.B)          { benchOp(b, traceEncode) }
 
 func BenchmarkSnapshot(b *testing.B) {
 	r := NewRegistry()
@@ -45,66 +109,37 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramObserveSpan documents the exemplar hot path:
-// Observe plus three atomic stores for the bucket's exemplar slot.
-// Zero allocs — gated in BENCH_trace.json.
-func BenchmarkHistogramObserveSpan(b *testing.B) {
-	h := NewRegistry().NewHistogram("bench_hist", "", DurationBuckets)
-	sp := newSpan("bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ObserveSpan(0.003, sp)
+// TestHotPathsZeroAllocs holds the metric, exemplar, trace-encode and
+// trace-propagation hot paths at 0 allocs per op in steady state, and
+// the exporter at 0 allocs added to a span's end.
+func TestHotPathsZeroAllocs(t *testing.T) {
+	const runs = 1000
+	for _, c := range []struct {
+		name    string
+		fixture func(testing.TB) func()
+	}{
+		{"Counter.Inc", counterInc},
+		{"Gauge.Set", gaugeSet},
+		{"Histogram.Observe", histogramObserve},
+		{"Histogram.ObserveSpan", histogramObserveSpan},
+		{"trace encode", traceEncode},
+		{"InjectTrace", traceInject},
+		{"ExtractTrace", traceExtract},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(runs, c.fixture(t)); n != 0 {
+				t.Errorf("%s allocates %.0f allocs/op, want 0", c.name, n)
+			}
+		})
 	}
-}
 
-// BenchmarkSpanStartEnd is the no-exporter span lifecycle: allocate,
-// attribute, end. A handful of allocations per span (the Span struct
-// and its lazy attr storage) — capped, not zero, in BENCH_trace.json.
-func BenchmarkSpanStartEnd(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := newSpan("bench/span")
-		sp.SetAttr(Int("i", int64(i)))
-		sp.End()
-	}
-}
-
-// BenchmarkSpanStartEndExport is the same lifecycle with a trace
-// exporter installed: End additionally encodes and writes the JSONL
-// line. The delta vs BenchmarkSpanStartEnd must be zero allocations —
-// the export path is gated alloc-free in BENCH_trace.json.
-func BenchmarkSpanStartEndExport(b *testing.B) {
-	t := NewTraceWriter(io.Discard, "bench-run", "bench")
-	prev := SetTraceExporter(t)
-	defer func() { SetTraceExporter(prev); _ = t.Close() }()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := newSpan("bench/span")
-		sp.SetAttr(Int("i", int64(i)))
-		sp.End()
-	}
-}
-
-// BenchmarkTraceEncode isolates the JSONL encoder: a warmed span with
-// attrs, counts and an event, re-encoded every iteration. Hard
-// zero-alloc gate — this is what keeps -trace safe in a daemon.
-func BenchmarkTraceEncode(b *testing.B) {
-	t := NewTraceWriter(io.Discard, "bench-run", "bench")
-	defer t.Close()
-	sp := newSpan("bench/encode")
-	sp.SetAttr(String("stage", "simulate"))
-	sp.SetAttr(Bool("cache_hit", true))
-	sp.SetAttr(Float("rmse", 0.42))
-	sp.SetCount("cells", 12345)
-	sp.Event("checkpoint")
-	sp.End()
-	// Warm the scratch buffers so steady state is measured.
-	t.writeSpanLocked(sp)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.writeSpanLocked(sp)
+	// Subtests scope the exporter: it is installed only while the
+	// second one runs.
+	var bare, exported float64
+	t.Run("span end", func(t *testing.T) { bare = testing.AllocsPerRun(runs, spanStartEnd(t)) })
+	t.Run("span end exported", func(t *testing.T) { exported = testing.AllocsPerRun(runs, spanStartEndExport(t)) })
+	if exported != bare {
+		t.Errorf("the exporter adds %.0f allocs/op to span end (%.0f without it, %.0f with), want 0",
+			exported-bare, bare, exported)
 	}
 }

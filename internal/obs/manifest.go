@@ -49,9 +49,9 @@ type RunManifest struct {
 	GoVersion   string `json:"go_version"`
 	Hostname    string `json:"hostname,omitempty"`
 	NumCPU      int    `json:"num_cpu"`
-	// GoMaxProcs is runtime.GOMAXPROCS at run start; tracetool
-	// diff/benchdiff compare it (with GoVersion, NumCPU, Hostname) to
-	// flag cross-machine comparisons instead of reporting false
+	// GoMaxProcs is runtime.GOMAXPROCS at run start; tracetool diff
+	// compares it (with GoVersion, NumCPU, Hostname) to flag
+	// cross-machine comparisons instead of reporting false
 	// regressions.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 

@@ -23,8 +23,8 @@ import (
 //
 // Both directions stay off the allocator in steady state: InjectTrace
 // memoizes the encoded reference on the span and reuses the header's
-// value slot, and ExtractTrace parses by substring. Both are gated in
-// BENCH_trace.json next to the span-encode gate.
+// value slot, and ExtractTrace parses by substring.
+// TestHotPathsZeroAllocs holds both at 0 allocs, next to span encode.
 
 // TraceHeader is the HTTP header carrying the caller's trace context.
 // The constant is already in canonical MIME form, so direct

@@ -203,34 +203,29 @@ func TestSpanSinkRouting(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceInject documents the client-side injection hot path:
-// stamp a memoized wire ref into an existing header. Zero allocs in
-// steady state — gated in BENCH_trace.json (a pipeline stage fanning
+// traceInject is the client-side injection hot path: stamp a
+// memoized wire ref into an existing header (a pipeline stage fanning
 // hundreds of remote fetches must not pay per-request garbage).
-func BenchmarkTraceInject(b *testing.B) {
+func traceInject(testing.TB) func() {
 	root := newSpan("bench/root")
 	root.SetRunID("feedc0de00000001")
 	sp := root.StartChild("bench/fetch")
 	h := http.Header{}
 	InjectTrace(h, sp) // warm: memoize the ref, allocate the header slot
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		InjectTrace(h, sp)
-	}
+	return func() { InjectTrace(h, sp) }
 }
 
-// BenchmarkTraceExtract documents the server-side extraction hot
-// path: parse "<run>/<span>" out of the request header. Zero allocs —
-// gated in BENCH_trace.json (runs once per daemon request).
-func BenchmarkTraceExtract(b *testing.B) {
+// traceExtract is the server-side extraction hot path, run once per
+// daemon request: parse "<run>/<span>" out of the request header.
+func traceExtract(tb testing.TB) func() {
 	h := http.Header{TraceHeader: []string{"feedc0de00000001/12345"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		ref, ok, err := ExtractTrace(h)
 		if !ok || err != nil || ref.Span != 12345 {
-			b.Fatal("bad extract")
+			tb.Fatal("bad extract")
 		}
 	}
 }
+
+func BenchmarkTraceInject(b *testing.B)  { benchOp(b, traceInject) }
+func BenchmarkTraceExtract(b *testing.B) { benchOp(b, traceExtract) }

@@ -23,7 +23,7 @@ import (
 // and to metric exemplars on the numeric span id.
 //
 // The encoder is hand-rolled into a reusable buffer: exporting a span
-// allocates nothing in steady state (gated in BENCH_trace.json), so
+// allocates nothing in steady state (TestHotPathsZeroAllocs), so
 // tracing can stay on in a serving daemon.
 
 // TraceMeta is the first line of a trace file: the run's provenance,

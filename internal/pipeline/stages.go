@@ -611,15 +611,13 @@ func ControlRunNamed(e *Engine, name string, cc ControlConfig, customize func(*c
 			if err != nil {
 				return nil, err
 			}
-			sensors := building.AuditoriumSensors()
 			if cc.Spec != nil {
 				if err := cc.Spec.Validate(); err != nil {
 					return nil, err
 				}
-				sensors = cc.Spec.Sensors()
 			}
 			var thermoPos, allPos []building.Point
-			for _, sp := range sensors {
+			for _, sp := range building.SensorsOf(cc.Spec) {
 				allPos = append(allPos, sp.Pos)
 				if sp.Thermostat {
 					thermoPos = append(thermoPos, sp.Pos)

@@ -28,8 +28,10 @@ func smallDatasetConfig() dataset.Config {
 
 // TestPaperStagesColdWarm runs the full Simulate -> Frame -> SysID /
 // Cluster -> Select DAG cold, then warm, and checks the warm run is
-// served entirely from the cache with identical artifact digests.
+// served entirely from the cache with identical artifact digests, at
+// least minWarmSpeedup times faster than the cold run.
 func TestPaperStagesColdWarm(t *testing.T) {
+	const minWarmSpeedup = 5.0
 	if testing.Short() {
 		t.Skip("runs the co-simulation")
 	}
@@ -57,8 +59,10 @@ func TestPaperStagesColdWarm(t *testing.T) {
 		methods int
 		digests map[string]string
 		hits    int
+		wall    time.Duration
 	}
 	run := func() outcome {
+		t0 := time.Now()
 		e, err := New(Options{CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -78,11 +82,12 @@ func TestPaperStagesColdWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wall := time.Since(t0)
 		rms, err := ev.RMSPercentile(90)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := outcome{rms: rms, methods: len(sa.Methods), k: sa.K, digests: map[string]string{}}
+		out := outcome{rms: rms, methods: len(sa.Methods), k: sa.K, digests: map[string]string{}, wall: wall}
 		for _, r := range e.Results() {
 			out.digests[r.Stage] = string(r.Digest)
 			if r.CacheHit {
@@ -120,6 +125,11 @@ func TestPaperStagesColdWarm(t *testing.T) {
 		if warm.digests[stage] != d {
 			t.Errorf("stage %s digest drifted: %s vs %s", stage, warm.digests[stage], d)
 		}
+	}
+	speedup := float64(cold.wall) / float64(warm.wall)
+	t.Logf("cold %v, warm %v: %.0fx", cold.wall, warm.wall, speedup)
+	if speedup < minWarmSpeedup {
+		t.Errorf("warm rerun is %.1fx faster than cold, below the %.0fx floor", speedup, minWarmSpeedup)
 	}
 
 	// Mutating the clustering config must leave simulate/frame/sysid

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"auditherm/internal/mat"
 )
@@ -54,9 +53,9 @@ func GreedyMI(cov *mat.Dense, n int) ([]int, error) {
 // GreedyMINaive is the retained reference implementation of GreedyMI:
 // per candidate and per round it solves both conditional systems from
 // scratch (O(n·p^4) total). It exists as the equivalence oracle for the
-// incremental path — the determinism suite and the bench-gp gate
-// require GreedyMI and GreedyMINaive to return the same sensors in the
-// same order.
+// incremental path — the determinism suite and the speed floor require
+// GreedyMI and GreedyMINaive to return the same sensors in the same
+// order.
 func GreedyMINaive(cov *mat.Dense, n int) ([]int, error) {
 	p, err := validateGPCov(cov, n)
 	if err != nil {
@@ -320,39 +319,4 @@ func greedyMIFast(cov *mat.Dense, n, p int) ([]int, error) {
 		inSel[bestY] = true
 	}
 	return s.sel, nil
-}
-
-// SyntheticCovariance builds a p×p SPD sensor covariance for scale
-// tests and benchmarks: a squared-exponential spatial kernel over
-// uniform random positions in the unit square plus a per-sensor noise
-// nugget. The nugget keeps the matrix positive definite at any p and
-// the random geometry breaks score ties, so greedy selections are
-// unambiguous. Deterministic in the seed.
-func SyntheticCovariance(p int, seed int64) *mat.Dense {
-	const (
-		lengthScale = 0.3
-		signalVar   = 1.0
-	)
-	rng := rand.New(rand.NewSource(seed))
-	xs := make([]float64, p)
-	ys := make([]float64, p)
-	nug := make([]float64, p)
-	for i := 0; i < p; i++ {
-		xs[i] = rng.Float64()
-		ys[i] = rng.Float64()
-		nug[i] = 0.05 + 0.1*rng.Float64()
-	}
-	cov := mat.NewDense(p, p)
-	inv2l2 := 1 / (2 * lengthScale * lengthScale)
-	for i := 0; i < p; i++ {
-		row := cov.RawRow(i)
-		for j := 0; j <= i; j++ {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			v := signalVar * math.Exp(-(dx*dx+dy*dy)*inv2l2)
-			row[j] = v
-			cov.RawRow(j)[i] = v
-		}
-		row[i] += nug[i]
-	}
-	return cov
 }

@@ -4,10 +4,47 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"auditherm/internal/mat"
 )
+
+// SyntheticCovariance builds a p×p SPD sensor covariance for scale
+// tests and benchmarks: a squared-exponential spatial kernel over
+// uniform random positions in the unit square plus a per-sensor noise
+// nugget. The nugget keeps the matrix positive definite at any p and
+// the random geometry breaks score ties, so greedy selections are
+// unambiguous. Deterministic in the seed.
+func SyntheticCovariance(p int, seed int64) *mat.Dense {
+	const (
+		lengthScale = 0.3
+		signalVar   = 1.0
+	)
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]float64, p)
+	ys := make([]float64, p)
+	nug := make([]float64, p)
+	for i := 0; i < p; i++ {
+		xs[i] = rng.Float64()
+		ys[i] = rng.Float64()
+		nug[i] = 0.05 + 0.1*rng.Float64()
+	}
+	cov := mat.NewDense(p, p)
+	inv2l2 := 1 / (2 * lengthScale * lengthScale)
+	for i := 0; i < p; i++ {
+		row := cov.RawRow(i)
+		for j := 0; j <= i; j++ {
+			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			v := signalVar * math.Exp(-(dx*dx+dy*dy)*inv2l2)
+			row[j] = v
+			cov.RawRow(j)[i] = v
+		}
+		row[i] += nug[i]
+	}
+	return cov
+}
 
 // jitteredSPD builds a random Gram matrix G*G' with a diagonal boost —
 // the issue's "jittered SPD" fixture family, less structured than
@@ -69,6 +106,60 @@ func TestGreedyMIFastNaiveIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGreedyMIFastTenfoldAtP100 holds the incremental path at ten
+// times the naive reference's speed at p = 100, on the same
+// selection. The naive O(n·p⁴) call takes a fraction of a second
+// there, and the speedup grows with p, so this floor is stricter than
+// the same one at a larger p.
+func TestGreedyMIFastTenfoldAtP100(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("a timing floor: under -race the naive call takes ~8 s and times the instrumentation, not the kernels")
+	}
+	const (
+		p, n       = 100, 8
+		reps       = 5
+		minSpeedup = 10.0
+	)
+	cov := SyntheticCovariance(p, 42+p)
+	t0 := time.Now()
+	naive, err := GreedyMINaive(cov, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naiveWall := time.Since(t0)
+	// The fast call is short, so it is timed over several calls.
+	var fast []int
+	t0 = time.Now()
+	for r := 0; r < reps; r++ {
+		if fast, err = GreedyMI(cov, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fastWall := time.Since(t0) / reps
+	if !equalInts(fast, naive) {
+		t.Fatalf("fast %v != naive %v", fast, naive)
+	}
+	speedup := float64(naiveWall) / float64(fastWall)
+	t.Logf("naive %v, fast %v: %.0fx", naiveWall, fastWall, speedup)
+	if speedup < minSpeedup {
+		t.Errorf("fast GreedyMI is %.1fx the naive reference at p=%d, below the %.0fx floor", speedup, p, minSpeedup)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestGreedyMIFullSelection drives both paths to n == p (the last
@@ -194,8 +285,8 @@ func TestSyntheticCovariance(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyMI compares the two paths at the paper's size; the
-// large-p matrix lives in internal/benchgp (make bench-gp).
+// BenchmarkGreedyMI compares the two paths at the paper's size;
+// TestGreedyMIFastTenfoldAtP100 holds the speedup floor at p = 100.
 func BenchmarkGreedyMI(b *testing.B) {
 	cov := SyntheticCovariance(27, 9)
 	const n = 8

@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,32 +282,48 @@ func TestConcurrentMixedRequests(t *testing.T) {
 }
 
 // TestDrainRejectsNewFinishesInFlight: once draining, new requests get
-// 503 while a request already computing runs to completion — the
-// zero-loss half of graceful shutdown, held deterministically in
-// flight via the compute hook.
+// 503 while the requests already computing run to completion — the
+// zero-loss half of graceful shutdown, with six requests held
+// deterministically in flight via the compute hook.
 func TestDrainRejectsNewFinishesInFlight(t *testing.T) {
-	base, srv, ms := startServer(t, Config{})
-	entered := make(chan struct{})
+	const inFlight = 6
+	base, srv, ms := startServer(t, Config{MaxInFlight: 8})
+	var entered sync.WaitGroup
+	entered.Add(inFlight)
 	release := make(chan struct{})
-	var hookOnce sync.Once
+	var hooked atomic.Int64
 	srv.computeHook = func(string) {
-		hookOnce.Do(func() {
-			close(entered)
+		if hooked.Add(1) <= inFlight {
+			entered.Done()
 			<-release
-		})
+		}
 	}
 
 	type result struct {
 		status int
 		body   []byte
 	}
-	inflight := make(chan result, 1)
-	go func() {
-		// A novel key (unused seed) so the request misses and computes.
-		st, body, _ := get(t, base+"/v1/control?days=1&seed=77")
-		inflight <- result{st, body}
-	}()
-	<-entered
+	results := make(chan result, inFlight)
+	for i := 0; i < inFlight; i++ {
+		go func(seed int) {
+			// A novel key (unused seed) so the request misses and computes.
+			resp, err := http.Get(fmt.Sprintf("%s/v1/control?days=1&seed=%d", base, seed))
+			if err != nil {
+				results <- result{status: -1, body: []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				body = []byte(err.Error())
+			}
+			results <- result{resp.StatusCode, body}
+		}(77 + i)
+	}
+	entered.Wait()
+	if n := srv.InFlight(); n != inFlight {
+		t.Errorf("%d requests in flight at the drain, want %d", n, inFlight)
+	}
 
 	ms.BeginDrain()
 	srv.BeginDrain()
@@ -322,18 +340,96 @@ func TestDrainRejectsNewFinishesInFlight(t *testing.T) {
 		t.Errorf("readyz during drain: %d %s", st, body)
 	}
 
-	// The in-flight request completes successfully.
+	// Every in-flight request completes successfully.
 	close(release)
-	r := <-inflight
-	if r.status != http.StatusOK {
-		t.Errorf("in-flight request lost to drain: %d %s", r.status, r.body)
-	}
-	var cs pipeline.ControlSummary
-	if err := json.Unmarshal(r.body, &cs); err != nil {
-		t.Errorf("in-flight body not a ControlSummary: %v", err)
+	for i := 0; i < inFlight; i++ {
+		r := <-results
+		if r.status != http.StatusOK {
+			t.Errorf("in-flight request lost to drain: %d %s", r.status, r.body)
+			continue
+		}
+		var cs pipeline.ControlSummary
+		if err := json.Unmarshal(r.body, &cs); err != nil {
+			t.Errorf("in-flight body not a ControlSummary: %v", err)
+		}
 	}
 	if err := srv.Wait(10 * time.Second); err != nil {
 		t.Errorf("Wait after drain: %v", err)
+	}
+}
+
+// TestSteadyLoadP99AndHitRate warms an 8-endpoint key space, then
+// replays it 1,200 times from 16 concurrent clients: the p99 latency
+// stays under 500 ms and at least 90% of the requests are
+// response-cache hits.
+func TestSteadyLoadP99AndHitRate(t *testing.T) {
+	const (
+		requests    = 1200
+		concurrency = 16
+		maxP99      = 500 * time.Millisecond
+		minHitRate  = 0.90
+	)
+	base, _, _ := startServer(t, Config{MaxInFlight: 8, ResponseCache: 64})
+	endpoints := []string{
+		"/v1/sysid?order=1",
+		"/v1/sysid?order=2",
+		"/v1/cluster?metric=euclidean&k=2",
+		"/v1/cluster?metric=correlation&k=2",
+		"/v1/select?metric=correlation&k=2&seeds=3",
+		"/v1/report?id=fig2",
+		"/v1/control?days=1&seed=1",
+		"/v1/control?days=1&seed=2",
+	}
+	for _, ep := range endpoints {
+		if st, body, _ := get(t, base+ep); st != http.StatusOK {
+			t.Fatalf("warmup %s: status %d (%s)", ep, st, body)
+		}
+	}
+
+	latencies := make([]time.Duration, requests)
+	var next, hits atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < concurrency; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= requests {
+					return
+				}
+				t0 := time.Now()
+				resp, err := http.Get(base + endpoints[i%len(endpoints)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				latencies[i] = time.Since(t0)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("request %d: status %d, err %v", i, resp.StatusCode, err)
+					return
+				}
+				if resp.Header.Get("X-Auditherm-Cache") == "hit" {
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	slices.Sort(latencies)
+	p99 := latencies[(99*(requests-1)+50)/100]
+	hitRate := float64(hits.Load()) / requests
+	t.Logf("p50 %v, p99 %v, hit rate %.3f", latencies[requests/2], p99, hitRate)
+	if p99 >= maxP99 {
+		t.Errorf("steady-state p99 %v, want under %v", p99, maxP99)
+	}
+	if hitRate < minHitRate {
+		t.Errorf("warm hit rate %.3f, want at least %.2f", hitRate, minHitRate)
 	}
 }
 

@@ -2,9 +2,8 @@
 // internal/obs (-trace) and turns them into human-facing views: a
 // flame-style text report with per-stage summaries and the critical
 // path, a Chrome trace_event conversion loadable in Perfetto or
-// chrome://tracing, a stage-level diff between two runs, and a
-// benchmark regression gate over the repo's recorded BENCH_*.json
-// baselines. cmd/tracetool is the thin CLI over this package.
+// chrome://tracing, a cross-process merge, and a stage-level diff
+// between two runs. cmd/tracetool is the thin CLI over this package.
 package traceview
 
 import (

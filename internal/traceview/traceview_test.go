@@ -248,169 +248,3 @@ func TestLoadRunAndDiff(t *testing.T) {
 		}
 	}
 }
-
-func TestParseGoBench(t *testing.T) {
-	out := `goos: linux
-goarch: amd64
-pkg: auditherm/internal/obs
-cpu: Intel(R) Xeon(R)
-BenchmarkTraceEncode-4   	 1215646	       987.1 ns/op	       0 B/op	       0 allocs/op
-BenchmarkSpanStartEnd-4  	 3337370	       358.7 ns/op	     448 B/op	       2 allocs/op
-BenchmarkNoMem            	 1000000	      1042 ns/op
-PASS
-ok  	auditherm/internal/obs	3.456s
-`
-	res, err := ParseGoBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("parsed %d results: %+v", len(res), res)
-	}
-	if res[0].Name != "BenchmarkTraceEncode" || res[0].NsPerOp != 987.1 || !res[0].HasAllocs || res[0].AllocsPerOp != 0 {
-		t.Errorf("result 0: %+v", res[0])
-	}
-	if res[1].AllocsPerOp != 2 || res[1].BytesPerOp != 448 {
-		t.Errorf("result 1: %+v", res[1])
-	}
-	if res[2].Name != "BenchmarkNoMem" || res[2].HasAllocs {
-		t.Errorf("result 2: %+v", res[2])
-	}
-}
-
-func TestLoadBaselinesGenericWalk(t *testing.T) {
-	// Map-style (BENCH_obs.json idiom) with env fields.
-	mapStyle := `{
-  "go_version": "go0.0.0", "num_cpu": 1234, "cpu": "TestCPU",
-  "benchmarks": {
-    "obs/BenchmarkCounterInc": {"ns_per_op": 7, "note": "atomic add"},
-    "root/BenchmarkKernel": {"ns_per_op": 100}
-  }
-}`
-	path := writeTemp(t, "BENCH_map.json", mapStyle)
-	bs, env, err := LoadBaselines(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.GoVersion != "go0.0.0" || env.NumCPU != 1234 || env.CPU != "TestCPU" {
-		t.Errorf("env: %+v", env)
-	}
-	if env.Mismatch() == "" {
-		t.Error("expected an environment mismatch against the live process")
-	}
-	if len(bs) != 2 {
-		t.Fatalf("baselines: %+v", bs)
-	}
-	byName := map[string]Baseline{}
-	for _, b := range bs {
-		byName[b.Name] = b
-	}
-	if b := byName["obs/BenchmarkCounterInc"]; b.Pkg != "./internal/obs" || b.Fn != "BenchmarkCounterInc" {
-		t.Errorf("runnable mapping: %+v", b)
-	}
-	if b := byName["root/BenchmarkKernel"]; b.Pkg != "." {
-		t.Errorf("root mapping: %+v", b)
-	}
-
-	// List-style (BENCH_monitor.json idiom): recorder rows are found
-	// but not runnable.
-	listStyle := `{"benchmarks": [
-  {"name": "monitor.Update/steady-state", "ns_per_op": 73, "allocs_per_op": 0},
-  {"name": "sysid.FitDecoupled/p=28,n=1440", "workers": 1, "ns_per_op": 18653864}
-]}`
-	path = writeTemp(t, "BENCH_list.json", listStyle)
-	bs, _, err = LoadBaselines(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs) != 2 {
-		t.Fatalf("list baselines: %+v", bs)
-	}
-	for _, b := range bs {
-		if b.Fn != "" {
-			t.Errorf("recorder row should not be runnable: %+v", b)
-		}
-	}
-	if !bs[0].HasAllocs || bs[0].AllocsPerOp != 0 {
-		t.Errorf("allocs not extracted: %+v", bs[0])
-	}
-}
-
-func TestCompareRegressionGate(t *testing.T) {
-	baselines := []Baseline{
-		{Name: "obs/BenchmarkFast", Pkg: "./internal/obs", Fn: "BenchmarkFast", NsPerOp: 100},
-		{Name: "obs/BenchmarkZeroAlloc", Pkg: "./internal/obs", Fn: "BenchmarkZeroAlloc", NsPerOp: 100, AllocsPerOp: 0, HasAllocs: true},
-		{Name: "obs/BenchmarkGone", Pkg: "./internal/obs", Fn: "BenchmarkGone", NsPerOp: 100},
-		{Name: "monitor.Update/steady-state", NsPerOp: 73},
-	}
-	live := map[string]map[string]BenchResult{
-		"./internal/obs": {
-			"BenchmarkFast":      {Name: "BenchmarkFast", NsPerOp: 110},
-			"BenchmarkZeroAlloc": {Name: "BenchmarkZeroAlloc", NsPerOp: 100, AllocsPerOp: 3, HasAllocs: true},
-		},
-	}
-
-	cs := Compare(baselines, live, 0.25)
-	status := map[string]string{}
-	for _, c := range cs {
-		status[c.Baseline.Name] = c.Status
-	}
-	want := map[string]string{
-		"obs/BenchmarkFast":           StatusOK, // +10% within 25%
-		"obs/BenchmarkZeroAlloc":      StatusAllocs,
-		"obs/BenchmarkGone":           StatusMissing,
-		"monitor.Update/steady-state": StatusSkipped,
-	}
-	for name, w := range want {
-		if status[name] != w {
-			t.Errorf("%s: status %q, want %q", name, status[name], w)
-		}
-	}
-	if !Failed(cs) {
-		t.Error("alloc regression must fail the gate")
-	}
-
-	// Injected slowdown: the same live results against a tightened
-	// baseline flip to a timing regression.
-	slow := []Baseline{{Name: "obs/BenchmarkFast", Pkg: "./internal/obs", Fn: "BenchmarkFast", NsPerOp: 50}}
-	cs = Compare(slow, live, 0.25)
-	if cs[0].Status != StatusRegression || !Failed(cs) {
-		t.Errorf("injected slowdown not flagged: %+v", cs[0])
-	}
-
-	// Unchanged tree: live matches recording, gate passes.
-	same := []Baseline{{Name: "obs/BenchmarkFast", Pkg: "./internal/obs", Fn: "BenchmarkFast", NsPerOp: 110}}
-	cs = Compare(same, live, 0.25)
-	if cs[0].Status != StatusOK || Failed(cs) {
-		t.Errorf("unchanged tree flagged: %+v", cs[0])
-	}
-
-	var sb strings.Builder
-	WriteComparisons(&sb, Compare(baselines, live, 0.25))
-	out := sb.String()
-	for _, wantStr := range []string{"alloc-regression", "missing", "skipped", "1 compared ok"} {
-		if !strings.Contains(out, wantStr) {
-			t.Errorf("comparison output missing %q:\n%s", wantStr, out)
-		}
-	}
-}
-
-func TestRunnableName(t *testing.T) {
-	cases := []struct {
-		in, pkg, fn string
-	}{
-		{"obs/BenchmarkCounterInc", "./internal/obs", "BenchmarkCounterInc"},
-		{"root/BenchmarkFigure6", ".", "BenchmarkFigure6"},
-		{"monitor.Update/steady-state", "", ""},
-		{"selection.GreedyMI/p=27,n=8", "", ""},
-		{"noslash", "", ""},
-		{"obs/NotABenchmark", "", ""},
-		{"../evil/BenchmarkX", "", ""},
-	}
-	for _, c := range cases {
-		pkg, fn := runnableName(c.in)
-		if pkg != c.pkg || fn != c.fn {
-			t.Errorf("runnableName(%q) = (%q, %q), want (%q, %q)", c.in, pkg, fn, c.pkg, c.fn)
-		}
-	}
-}
