@@ -66,8 +66,12 @@ race:
 	$(GO) test -race -short ./internal/fleet
 	$(GO) test -race ./internal/obs ./internal/building ./internal/par ./internal/sysid ./internal/cluster ./internal/selection ./internal/mat ./internal/monitor ./internal/pipeline ./internal/artifact ./internal/traceview ./internal/serve
 
+# TestFleetReportDeterminism times a serial fleet against an 8-worker
+# one, so it runs alone after the rest of the suite: other packages'
+# test binaries would otherwise share the cores its floor measures.
 test:
-	$(GO) test ./...
+	$(GO) test -skip '^TestFleetReportDeterminism$$' ./...
+	$(GO) test -run '^TestFleetReportDeterminism$$' ./internal/fleet
 
 # The timing-sensitive end-to-end tests, 20 runs each: the daemon's
 # SIGTERM drain, the hvacsim monitor's alarm path, the cross-process

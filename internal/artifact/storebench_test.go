@@ -125,8 +125,10 @@ func seedMixed(tb testing.TB, kv kvStore) ([]Digest, [][]byte) {
 
 // driveMixed runs ops operations of the mixed stream from mixedWorkers
 // goroutines. Operations alternate Put and Get by a shared atomic
-// counter, so the mix does not depend on scheduling; a Get that hits
-// must return the key's own bytes.
+// counter, so the mix does not depend on scheduling, and each Put/Get
+// pair walks the key space together: the Gets read seeded keys and
+// keys the stream has put, and a Get that hits must return the key's
+// own bytes.
 func driveMixed(tb testing.TB, kv kvStore, keys []Digest, payloads [][]byte, ops int) {
 	var idx atomic.Int64
 	var wg sync.WaitGroup
@@ -139,7 +141,7 @@ func driveMixed(tb testing.TB, kv kvStore, keys []Digest, payloads [][]byte, ops
 				if op > int64(ops) {
 					return
 				}
-				i := int(op) % mixedKeyspace
+				i := int(op/2) % mixedKeyspace
 				if op%2 == 0 {
 					if err := kv.put(keys[i], payloads[i]); err != nil {
 						tb.Error(err)

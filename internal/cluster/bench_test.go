@@ -66,3 +66,31 @@ func BenchmarkDistanceMatrix(b *testing.B) {
 		DistanceMatrix(x)
 	}
 }
+
+// TestClusterAllocCaps holds the similarity build and the whole
+// spectral pipeline on benchTraces at or under the allocation counts
+// recorded for them.
+func TestClusterAllocCaps(t *testing.T) {
+	x := benchTraces()
+	w, err := SimilarityMatrix(x, Correlation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		op   func() error
+		max  float64
+	}{
+		{"SimilarityMatrix", func() error { _, err := SimilarityMatrix(x, Correlation); return err }, 5},
+		{"SpectralCluster", func() error { _, err := SpectralCluster(w, 0, SpectralOptions{Seed: 11}); return err }, 150},
+	} {
+		n := testing.AllocsPerRun(5, func() {
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > c.max {
+			t.Errorf("%s allocates %.0f allocs/op, want at most %.0f", c.name, n, c.max)
+		}
+	}
+}

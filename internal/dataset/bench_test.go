@@ -31,3 +31,18 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 }
+
+// TestGenerateAllocCap holds a benchConfig trace at or under the
+// allocation count recorded for it.
+func TestGenerateAllocCap(t *testing.T) {
+	const maxAllocs = 58875
+	cfg := benchConfig()
+	n := testing.AllocsPerRun(1, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > maxAllocs {
+		t.Errorf("Generate allocates %.0f allocs/op, want at most %d", n, maxAllocs)
+	}
+}

@@ -78,12 +78,6 @@ type Config struct {
 	Node      sensornet.NodeConfig
 }
 
-// Sensors returns the sensor deployment of the config's building,
-// building.SensorsOf(c.Spec).
-func (c Config) Sensors() []building.SensorSpec {
-	return building.SensorsOf(c.Spec)
-}
-
 // DefaultConfig reproduces the paper's trace shape: 98 days from
 // January 31, 2013, 15-minute identification grid, roughly a third of
 // the days lost to failures.
@@ -234,7 +228,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: building: %w", err)
 	}
-	sensors := cfg.Sensors()
+	sensors := building.SensorsOf(cfg.Spec)
 
 	outages := sensornet.GenerateOutages(cfg.Start, end, cfg.NumLongOutages, cfg.NumShortOutages, cfg.Seed+200)
 	store := sensornet.NewStore(outages)

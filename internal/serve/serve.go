@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"auditherm/internal/artifact"
+	"auditherm/internal/building"
 	"auditherm/internal/dataset"
 	"auditherm/internal/experiments"
 	"auditherm/internal/obs"
@@ -119,9 +120,9 @@ type Server struct {
 	epTrace map[string]*endpointTrace
 
 	// computeHook, when set, runs at the start of every cache-miss
-	// computation; test and benchmark harnesses use it to hold
-	// requests in flight deterministically while exercising the drain
-	// path (see SetComputeHook).
+	// computation; tests use it to hold requests in flight
+	// deterministically while exercising the drain path. Set it only
+	// while no requests are being served.
 	computeHook func(endpoint string)
 }
 
@@ -201,7 +202,7 @@ func New(cfg Config, log *slog.Logger, root *obs.Span) (*Server, error) {
 	for _, id := range s.reportIDs {
 		s.reportSet[id] = true
 	}
-	s.sensors = len(cfg.Dataset.Sensors())
+	s.sensors = len(building.SensorsOf(cfg.Dataset.Spec))
 	return s, nil
 }
 
@@ -287,12 +288,6 @@ func (s *Server) Close() error {
 	s.backend = nil
 	return err
 }
-
-// SetComputeHook installs fn at the head of every cache-miss
-// computation. Harnesses use it to hold requests in flight
-// deterministically while exercising the drain path; nil removes it.
-// Only call while no requests are being served.
-func (s *Server) SetComputeHook(fn func(endpoint string)) { s.computeHook = fn }
 
 // BeginDrain stops request intake: every subsequent API request gets
 // 503 while in-flight requests keep running. Idempotent.
