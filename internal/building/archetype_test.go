@@ -313,3 +313,32 @@ func TestSpecJSONRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchmarkArchetypeStep times a default archetype's Step as the
+// control study runs it: one op is a one-minute Step of six 10 s
+// substeps under daytime inputs, and ns/substep is a sixth of it.
+func benchmarkArchetypeStep(b *testing.B, archetype string) {
+	sp, err := DefaultSpec(archetype)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld, err := sp.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := Inputs{
+		HVAC:      hvac.State{Flows: []float64{0.3, 0.2, 0, 0.4}, SupplyTemp: 14},
+		Occupants: 20,
+		LightsOn:  true,
+		Ambient:   28,
+	}
+	for b.Loop() {
+		if err := bld.Step(time.Minute, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(6*b.N), "ns/substep")
+}
+
+func BenchmarkOfficeStep(b *testing.B)    { benchmarkArchetypeStep(b, ArchetypeOffice) }
+func BenchmarkResidenceStep(b *testing.B) { benchmarkArchetypeStep(b, ArchetypeResidence) }

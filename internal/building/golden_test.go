@@ -14,7 +14,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"regenerate testdata/auditorium_golden.json from the current simulator")
+	"regenerate testdata/auditorium_golden.json and testdata/archetype_golden.json from the current steppers")
 
 // goldenFixture pins the auditorium archetype's trajectory bit-for-bit.
 // It was captured from the pre-archetype-refactor simulator; the test
@@ -140,6 +140,146 @@ func TestAuditoriumGolden(t *testing.T) {
 		}
 		if got.MeanTemp[k] != want.MeanTemp[k] {
 			t.Fatalf("checkpoint %d mean temp: got %v, want %v", k, unbits(got.MeanTemp[k]), unbits(want.MeanTemp[k]))
+		}
+	}
+}
+
+// archetypeTrajectory is one office or residence run of the archetype
+// golden: per checkpoint, the temperature at each installed sensor and
+// the zone mean, as float64 bit patterns in hex.
+type archetypeTrajectory struct {
+	SensorTemps [][]string `json:"sensor_temps_bits"`
+	MeanTemp    []string   `json:"mean_temp_bits"`
+}
+
+// archetypeGoldenSpecs are the pinned buildings: each default and one
+// randomized member of each archetype (a 3x2 office with a per-edge
+// conductance scale, a three-node residence).
+func archetypeGoldenSpecs(t *testing.T) map[string]Spec {
+	t.Helper()
+	specs := make(map[string]Spec)
+	for _, name := range []string{ArchetypeOffice, ArchetypeResidence} {
+		sp, err := DefaultSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[name+"/default"] = sp
+	}
+	for name, index := range map[string]int{ArchetypeOffice: 3, ArchetypeResidence: 0} {
+		sp, err := RandomSpec(name, 24, index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[name+"/random"] = sp
+	}
+	return specs
+}
+
+// archetypeScenario is the golden's deterministic day, a pure function
+// of the minute since midnight: the plant off until 03:00, then VAV
+// flows stepped every 90 minutes (the fourth damper closed half the
+// time), occupancy stepped 08:00-18:00 with lights and cold supply
+// air while occupied, and a diurnal ambient.
+func archetypeScenario(minute int) Inputs {
+	hour := float64(minute) / 60
+	in := Inputs{Ambient: 8 + 6*math.Sin(2*math.Pi*(hour-9)/24)}
+	if hour < 3 {
+		in.HVAC = hvac.State{Flows: []float64{0, 0, 0, 0}, SupplyTemp: 20}
+		return in
+	}
+	levels := [...]float64{0.1, 0.3, 0.05, 0.45, 0.2}
+	band := minute / 90
+	f := levels[band%len(levels)]
+	closed := 0.0
+	if band%2 == 0 {
+		closed = 0.6 * f
+	}
+	in.HVAC = hvac.State{Flows: []float64{f, 0.8 * f, 1.2 * f, closed}, SupplyTemp: 18}
+	if hour >= 8 && hour < 18 {
+		in.Occupants = [...]int{12, 30, 5, 22, 0}[(minute/120)%5]
+		in.LightsOn = true
+		in.HVAC.SupplyTemp = 14
+	}
+	return in
+}
+
+// TestArchetypeGolden pins the office and residence steppers to their
+// trajectories, exact to the last float bit: each pinned building runs
+// archetypeScenario for 24 hours in 1-minute and in 2-minute Steps,
+// checkpointed every hour.
+func TestArchetypeGolden(t *testing.T) {
+	path := filepath.Join("testdata", "archetype_golden.json")
+	got := make(map[string]archetypeTrajectory)
+	for name, sp := range archetypeGoldenSpecs(t) {
+		sensors := sp.Sensors()
+		for _, stepMin := range []int{1, 2} {
+			b, err := sp.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tr archetypeTrajectory
+			for minute := 0; minute < 24*60; minute += stepMin {
+				if err := b.Step(time.Duration(stepMin)*time.Minute, archetypeScenario(minute)); err != nil {
+					t.Fatal(err)
+				}
+				if (minute+stepMin)%60 != 0 {
+					continue
+				}
+				row := make([]string, len(sensors))
+				for i, s := range sensors {
+					row[i] = bits(b.TemperatureAt(s.Pos))
+				}
+				tr.SensorTemps = append(tr.SensorTemps, row)
+				tr.MeanTemp = append(tr.MeanTemp, bits(b.MeanTemp()))
+			}
+			got[name+"/"+strconv.Itoa(stepMin)+"m"] = tr
+		}
+	}
+
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden fixture rewritten: %s", path)
+		return
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden fixture (regenerate with -update-golden): %v", err)
+	}
+	var want map[string]archetypeTrajectory
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d trajectories, golden has %d", len(got), len(want))
+	}
+	for run, w := range want {
+		g, ok := got[run]
+		if !ok {
+			t.Fatalf("golden run %s not produced", run)
+		}
+		if len(g.MeanTemp) != len(w.MeanTemp) {
+			t.Fatalf("%s: %d checkpoints, want %d", run, len(g.MeanTemp), len(w.MeanTemp))
+		}
+		for k := range w.MeanTemp {
+			if len(g.SensorTemps[k]) != len(w.SensorTemps[k]) {
+				t.Fatalf("%s hour %d: %d sensors, want %d", run, k+1, len(g.SensorTemps[k]), len(w.SensorTemps[k]))
+			}
+			for i, wb := range w.SensorTemps[k] {
+				if gb := g.SensorTemps[k][i]; gb != wb {
+					t.Fatalf("%s hour %d sensor %d: got %v (bits %s), want %v (bits %s)",
+						run, k+1, i+1, unbits(gb), gb, unbits(wb), wb)
+				}
+			}
+			if g.MeanTemp[k] != w.MeanTemp[k] {
+				t.Fatalf("%s hour %d mean: got %v, want %v", run, k+1, unbits(g.MeanTemp[k]), unbits(w.MeanTemp[k]))
+			}
 		}
 	}
 }
