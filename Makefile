@@ -106,7 +106,10 @@ flake:
 # safely: cluster members, per-cluster means and selected sensors.
 # FuzzStageCodecDecode: the same fixed-point and trailing-byte property
 # for the evaluation, control, fleet-building and fleet-report JSON
-# codecs; the target's first argument picks the codec.
+# codecs; the target's first argument picks the codec. Its inputs are
+# whole JSON artifacts, which Go's default 60 s minimization of each
+# new interesting input would shrink for most of the 10 s budget
+# instead of searching, so its minimization is capped at 1 s.
 # FuzzEncodeEnvelope: for any codec name, version, payload string and
 # float, the artifact envelope written directly is byte for byte what
 # json.Encoder writes for it, or both fail.
@@ -144,7 +147,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDatasetCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterCodecDecode$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionCodecDecode$$' -fuzztime 10s ./internal/artifact
-	$(GO) test -run '^$$' -fuzz '^FuzzStageCodecDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzStageCodecDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeEnvelope$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalStoreTorn$$' -fuzztime 10s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPath$$' -fuzztime 10s ./internal/artifact

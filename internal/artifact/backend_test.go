@@ -220,6 +220,50 @@ func TestMemLRU(t *testing.T) {
 	}
 }
 
+// TestMemHoldsOnlyCountedBytes: artifacts written through a tiered
+// stack (whose encoder runs into a growing buffer) and promoted from a
+// colder tier keep no spare capacity in the mem tier, so the bytes it
+// retains are the bytes its budget counts.
+func TestMemHoldsOnlyCountedBytes(t *testing.T) {
+	ctx := context.Background()
+	local, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMem(1 << 20)
+	tiered := NewTiered(mem, local)
+	defer tiered.Close()
+	for i, size := range []int{900, 20_000} {
+		key := HashBytes([]byte(fmt.Sprintf("written-%d", i)))
+		if _, err := tiered.Put(ctx, key, func(w io.Writer) error {
+			_, err := w.Write(bytes.Repeat([]byte{'x'}, size))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promoted := HashBytes([]byte("promoted"))
+	if _, err := local.Put(ctx, promoted, func(w io.Writer) error {
+		_, err := w.Write(bytes.Repeat([]byte{'y'}, 5_000))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := tiered.Open(ctx, promoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+
+	var retained int64
+	for el := mem.order.Front(); el != nil; el = el.Next() {
+		retained += int64(cap(el.Value.(*memEntry).data))
+	}
+	if mem.order.Len() != 3 || retained != mem.total {
+		t.Fatalf("mem tier retains %d bytes of capacity in %d entries, counts %d", retained, mem.order.Len(), mem.total)
+	}
+}
+
 func TestMemValueCache(t *testing.T) {
 	m := NewMem(0)
 	digest := HashBytes([]byte("content"))

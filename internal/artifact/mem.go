@@ -93,10 +93,18 @@ func (m *Mem) GetBytes(key Digest) ([]byte, Info, bool) {
 }
 
 // PutBytes stores an already-encoded artifact (tier promotion and the
-// remote fetch path use it; data must not be mutated afterwards).
+// remote fetch path use it; data must not be mutated afterwards). An
+// encode buffer's spare capacity would stay reachable through the
+// entry while the byte budget counts only its length, so data with
+// spare capacity is stored as an exactly sized copy.
 func (m *Mem) PutBytes(key Digest, data []byte, info Info) {
 	if ValidateKey(key) != nil || int64(len(data)) > m.cap {
 		return
+	}
+	if cap(data) != len(data) {
+		exact := make([]byte, len(data))
+		copy(exact, data)
+		data = exact
 	}
 	m.mu.Lock()
 	if el, ok := m.entries[key]; ok {

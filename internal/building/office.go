@@ -163,13 +163,29 @@ type Office struct {
 	temps   []float64 // zone temperatures, row-major [ix*zy+iy]
 	scratch []float64
 
-	edgeUA  []float64 // per-edge conductance, W/K (X-edges then Y-edges)
+	// links lists each zone's neighbours in edge order ix-1, ix+1,
+	// iy-1, iy+1, zone i's at links[first[i]:first[i+1]].
+	links   []link
+	first   []int
 	envUA   []float64 // per-zone conductance to ambient, W/K
 	roofUA  float64   // per-zone roof conductance, W/K
 	zoneCap float64   // J/K per zone
 
-	zoneFlow []float64 // scratch: per-zone supply flow, kg/s
-	colFlow  []float64 // scratch: per-column supply flow, kg/s
+	// Per-Step terms, compiled by compile from the Step's inputs.
+	colFlow   []float64 // scratch: per-column supply flow, kg/s
+	zoneFlow  []float64 // per-zone supply flow, kg/s
+	envT      []float64 // per-zone envelope term envUA*Ambient, W
+	roofT     float64   // roof term roofUA*Ambient, W
+	supplyT   []float64 // per-zone supply term flow*airCp*SupplyTemp, W
+	zoneG     []float64 // per-zone total conductance, W/K
+	zoneDecay []float64 // per-zone exp(-sub*g/zoneCap)
+	load      float64   // occupant and lighting heat per zone, W
+}
+
+// link is one neighbour of a zone and the conductance between them.
+type link struct {
+	j  int     // neighbour zone
+	ua float64 // W/K
 }
 
 // NewOffice validates cfg and returns an office at the initial
@@ -188,25 +204,32 @@ func NewOffice(cfg OfficeConfig) (*Office, error) {
 		zy:      cfg.ZY,
 		temps:   make([]float64, n),
 		scratch: make([]float64, n),
+		first:   make([]int, n+1),
 		envUA:   make([]float64, n),
-		edgeUA:  make([]float64, cfg.NumEdges()),
 
-		zoneFlow: make([]float64, n),
-		colFlow:  make([]float64, cfg.ZY),
+		colFlow:   make([]float64, cfg.ZY),
+		zoneFlow:  make([]float64, n),
+		envT:      make([]float64, n),
+		supplyT:   make([]float64, n),
+		zoneG:     make([]float64, n),
+		zoneDecay: make([]float64, n),
 	}
 	airMass := cfg.Depth * cfg.Width * cfg.Height * airDensity // kg, unscaled
 	o.zoneCap = airMass / float64(n) * cfg.ThermalMassFactor * airCp
 	o.roofUA = cfg.RoofUA / float64(n)
 
 	// The identified thermal network: base conductance times the
-	// per-edge scale (uniform when UAScale is nil).
-	for e := range o.edgeUA {
+	// per-edge scale (uniform when UAScale is nil). Edges run X-edges
+	// first, then Y-edges, each row-major.
+	edgeUA := func(e int) float64 {
 		s := 1.0
 		if len(cfg.UAScale) > 0 {
 			s = cfg.UAScale[e]
 		}
-		o.edgeUA[e] = cfg.InterZoneUA * s
+		return cfg.InterZoneUA * s
 	}
+	xEdge := func(ix, iy int) int { return ix*o.zy + iy }
+	yEdge := func(ix, iy int) int { return (o.zx-1)*o.zy + ix*(o.zy-1) + iy }
 
 	perimeter := 0
 	for ix := 0; ix < o.zx; ix++ {
@@ -218,8 +241,22 @@ func NewOffice(cfg OfficeConfig) (*Office, error) {
 	}
 	for ix := 0; ix < o.zx; ix++ {
 		for iy := 0; iy < o.zy; iy++ {
+			i := ix*o.zy + iy
+			if ix > 0 {
+				o.links = append(o.links, link{i - o.zy, edgeUA(xEdge(ix-1, iy))})
+			}
+			if ix < o.zx-1 {
+				o.links = append(o.links, link{i + o.zy, edgeUA(xEdge(ix, iy))})
+			}
+			if iy > 0 {
+				o.links = append(o.links, link{i - 1, edgeUA(yEdge(ix, iy-1))})
+			}
+			if iy < o.zy-1 {
+				o.links = append(o.links, link{i + 1, edgeUA(yEdge(ix, iy))})
+			}
+			o.first[i+1] = len(o.links)
 			if ix == 0 || ix == o.zx-1 || iy == 0 || iy == o.zy-1 {
-				o.envUA[ix*o.zy+iy] = cfg.EnvelopeUA / float64(perimeter)
+				o.envUA[i] = cfg.EnvelopeUA / float64(perimeter)
 			}
 		}
 	}
@@ -230,12 +267,6 @@ func NewOffice(cfg OfficeConfig) (*Office, error) {
 	return o, nil
 }
 
-// xEdge returns the edge index between (ix,iy) and (ix+1,iy).
-func (o *Office) xEdge(ix, iy int) int { return ix*o.zy + iy }
-
-// yEdge returns the edge index between (ix,iy) and (ix,iy+1).
-func (o *Office) yEdge(ix, iy int) int { return (o.zx-1)*o.zy + ix*(o.zy-1) + iy }
-
 // NumZones returns the zone count.
 func (o *Office) NumZones() int { return o.zx * o.zy }
 
@@ -244,49 +275,38 @@ func (o *Office) Step(dt time.Duration, in Inputs) error {
 	if err := checkStep(dt, in); err != nil {
 		return err
 	}
-	total := dt.Seconds()
-	steps := int(math.Ceil(total / o.cfg.MaxStep.Seconds()))
-	if steps < 1 {
-		steps = 1
-	}
-	sub := total / float64(steps)
+	steps, sub := substeps(dt, o.cfg.MaxStep)
+	o.compile(sub, in)
 	for k := 0; k < steps; k++ {
-		o.substep(sub, in)
+		o.substep()
 	}
 	stepsTotal.Inc()
 	cellsStepped.Add(int64(steps * len(o.temps)))
 	return nil
 }
 
-// substep advances one internal step of sub seconds: every zone
-// relaxes toward the conductance-weighted equilibrium of its frozen
-// neighborhood (identical integrator to the auditorium).
-func (o *Office) substep(sub float64, in Inputs) {
+// compile computes every term that holds for all substeps of a Step
+// under in, split into substeps of sub seconds: the zone flows, each
+// zone's source terms, total conductance and decay factor, and the
+// zone load.
+func (o *Office) compile(sub float64, in Inputs) {
 	cfg := &o.cfg
 	n := len(o.temps)
 
 	// Each VAV serves a contiguous band of Y columns; its flow splits
 	// evenly over the zones in the band.
-	zoneFlow := o.zoneFlow
-	for i := range zoneFlow {
-		zoneFlow[i] = 0
-	}
+	clear(o.zoneFlow)
 	if nf := len(in.HVAC.Flows); nf > 0 {
-		colFlow := o.colFlow
-		for i := range colFlow {
-			colFlow[i] = 0
-		}
+		clear(o.colFlow)
 		for i, f := range in.HVAC.Flows {
 			col := i * o.zy / nf
 			if col >= o.zy {
 				col = o.zy - 1
 			}
-			colFlow[col] += f
+			o.colFlow[col] += f
 		}
-		for ix := 0; ix < o.zx; ix++ {
-			for iy := 0; iy < o.zy; iy++ {
-				zoneFlow[ix*o.zy+iy] = colFlow[iy] / float64(o.zx)
-			}
+		for i := range o.zoneFlow {
+			o.zoneFlow[i] = o.colFlow[i%o.zy] / float64(o.zx)
 		}
 	}
 
@@ -295,46 +315,50 @@ func (o *Office) substep(sub float64, in Inputs) {
 	if in.LightsOn {
 		lightHeat = cfg.LightingPower / float64(n)
 	}
+	o.load = occHeat + lightHeat
 
+	// A zone's conductance sums, in this order, its edges, envelope,
+	// roof and supply; Validate gives every zone an edge, so g > 0.
+	o.roofT = o.roofUA * in.Ambient
+	for i := range o.temps {
+		var g float64
+		for _, l := range o.links[o.first[i]:o.first[i+1]] {
+			g += l.ua
+		}
+		o.envT[i] = 0
+		if e := o.envUA[i]; e > 0 {
+			g += e
+			o.envT[i] = e * in.Ambient
+		}
+		g += o.roofUA
+		o.supplyT[i] = 0
+		if f := o.zoneFlow[i]; f > 0 {
+			gs := f * airCp
+			g += gs
+			o.supplyT[i] = gs * in.HVAC.SupplyTemp
+		}
+		o.zoneG[i] = g
+		o.zoneDecay[i] = math.Exp(-sub * g / o.zoneCap)
+	}
+}
+
+// substep advances one internal step of the compiled Step: every zone
+// relaxes toward the conductance-weighted equilibrium of its frozen
+// neighborhood by its exact exponential decay. Its sum gt
+// takes, from +0 and in this order, the neighbour terms, envelope,
+// roof and supply; a term a zone lacks is +0, which changes nothing.
+func (o *Office) substep() {
 	old := o.temps
 	next := o.scratch
-	for ix := 0; ix < o.zx; ix++ {
-		for iy := 0; iy < o.zy; iy++ {
-			i := ix*o.zy + iy
-			ti := old[i]
-			var g, gt float64
-			edge := func(j int, ua float64) {
-				g += ua
-				gt += ua * old[j]
-			}
-			if ix > 0 {
-				edge(i-o.zy, o.edgeUA[o.xEdge(ix-1, iy)])
-			}
-			if ix < o.zx-1 {
-				edge(i+o.zy, o.edgeUA[o.xEdge(ix, iy)])
-			}
-			if iy > 0 {
-				edge(i-1, o.edgeUA[o.yEdge(ix, iy-1)])
-			}
-			if iy < o.zy-1 {
-				edge(i+1, o.edgeUA[o.yEdge(ix, iy)])
-			}
-			if e := o.envUA[i]; e > 0 {
-				g += e
-				gt += e * in.Ambient
-			}
-			g += o.roofUA
-			gt += o.roofUA * in.Ambient
-
-			if f := zoneFlow[i]; f > 0 {
-				gs := f * airCp
-				g += gs
-				gt += gs * in.HVAC.SupplyTemp
-			}
-
-			load := occHeat + lightHeat
-			next[i] = relax(ti, g, gt, load, sub, o.zoneCap)
+	for i := range old {
+		gt := 0.0
+		for _, l := range o.links[o.first[i]:o.first[i+1]] {
+			gt += l.ua * old[l.j]
 		}
+		gt += o.envT[i]
+		gt += o.roofT
+		gt += o.supplyT[i]
+		next[i] = relaxBy(old[i], o.zoneG[i], gt, o.load, o.zoneDecay[i])
 	}
 	o.temps, o.scratch = next, old
 }

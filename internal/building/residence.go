@@ -172,6 +172,13 @@ type Residence struct {
 	interUA   float64 // W/K between adjacent nodes
 	solarGain float64 // W total at peak irradiance
 
+	// Per-Step terms, compiled by compile from the Step's inputs.
+	envT      float64   // envelope term envUA*Ambient, W
+	supplyT   float64   // supply term per node, W
+	frontLoad float64   // occupant and lighting heat per front node, W
+	nodeG     []float64 // per-node total conductance, W/K
+	nodeDecay []float64 // per-node exp(-sub*g/nodeCap)
+
 	elapsed float64 // seconds simulated (drives the solar diurnal phase)
 }
 
@@ -185,9 +192,11 @@ func NewResidence(cfg ResidenceConfig) (*Residence, error) {
 		cfg.MaxStep = 10 * time.Second
 	}
 	r := &Residence{
-		cfg:     cfg,
-		temps:   make([]float64, cfg.Zones),
-		scratch: make([]float64, cfg.Zones),
+		cfg:       cfg,
+		temps:     make([]float64, cfg.Zones),
+		scratch:   make([]float64, cfg.Zones),
+		nodeG:     make([]float64, cfg.Zones),
+		nodeDecay: make([]float64, cfg.Zones),
 	}
 	r.depth, r.width = cfg.Dims()
 	// The whole-house R/C pair splits evenly over the node chain:
@@ -224,22 +233,21 @@ func (r *Residence) Step(dt time.Duration, in Inputs) error {
 	if err := checkStep(dt, in); err != nil {
 		return err
 	}
-	total := dt.Seconds()
-	steps := int(math.Ceil(total / r.cfg.MaxStep.Seconds()))
-	if steps < 1 {
-		steps = 1
-	}
-	sub := total / float64(steps)
+	steps, sub := substeps(dt, r.cfg.MaxStep)
+	r.compile(sub, in)
 	for k := 0; k < steps; k++ {
-		r.substep(sub, in)
+		r.substep(sub)
 	}
 	stepsTotal.Inc()
 	cellsStepped.Add(int64(steps * len(r.temps)))
 	return nil
 }
 
-// substep advances one internal step of sub seconds.
-func (r *Residence) substep(sub float64, in Inputs) {
+// compile computes every term that holds for all substeps of a Step
+// under in, split into substeps of sub seconds: the envelope and
+// supply terms, the front nodes' occupant and lighting heat, and each
+// node's total conductance and decay factor.
+func (r *Residence) compile(sub float64, in Inputs) {
 	cfg := &r.cfg
 	n := len(r.temps)
 	front := (n + 1) / 2 // living-half node count
@@ -250,44 +258,72 @@ func (r *Residence) substep(sub float64, in Inputs) {
 	}
 	nodeFlow := totalFlow / float64(n)
 
-	// Solar lands mostly on the front (south-glazed) half; occupants
-	// and lights live there too. The asymmetry is what keeps the node
-	// chain from collapsing to one effective state.
-	solar := r.solarGain * r.solarShape()
 	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(front)
 	var lightHeat float64
 	if in.LightsOn {
 		lightHeat = cfg.LightingPower / float64(front)
 	}
+	r.frontLoad = occHeat + lightHeat
+
+	// A node's conductance sums, in this order, its chain edges,
+	// envelope and supply; every node has a chain edge, so g > 0.
+	r.envT = r.envUA * in.Ambient
+	r.supplyT = 0
+	var gs float64
+	if nodeFlow > 0 {
+		gs = nodeFlow * airCp
+		r.supplyT = gs * in.HVAC.SupplyTemp
+	}
+	for i := range r.nodeG {
+		var g float64
+		if i > 0 {
+			g += r.interUA
+		}
+		if i < n-1 {
+			g += r.interUA
+		}
+		g += r.envUA
+		if nodeFlow > 0 {
+			g += gs
+		}
+		r.nodeG[i] = g
+		r.nodeDecay[i] = math.Exp(-sub * g / r.nodeCap)
+	}
+}
+
+// substep advances one internal step of sub seconds of the compiled
+// Step. A node's sum gt takes, from +0 and in this order, its chain
+// neighbours, envelope and supply terms; a term it lacks is +0, which
+// changes nothing.
+func (r *Residence) substep(sub float64) {
+	n := len(r.temps)
+	front := (n + 1) / 2
+
+	// Solar lands mostly on the front (south-glazed) half; occupants
+	// and lights live there too. The asymmetry is what keeps the node
+	// chain from collapsing to one effective state.
+	solar := r.solarGain * r.solarShape()
 
 	old := r.temps
 	next := r.scratch
 	for i := 0; i < n; i++ {
-		ti := old[i]
-		var g, gt float64
+		gt := 0.0
 		if i > 0 {
-			g += r.interUA
 			gt += r.interUA * old[i-1]
 		}
 		if i < n-1 {
-			g += r.interUA
 			gt += r.interUA * old[i+1]
 		}
-		g += r.envUA
-		gt += r.envUA * in.Ambient
-		if nodeFlow > 0 {
-			gs := nodeFlow * airCp
-			g += gs
-			gt += gs * in.HVAC.SupplyTemp
-		}
+		gt += r.envT
+		gt += r.supplyT
 
 		var load float64
 		if i < front {
-			load = occHeat + lightHeat + solar*0.7/float64(front)
+			load = r.frontLoad + solar*0.7/float64(front)
 		} else {
 			load = solar * 0.3 / float64(n-front)
 		}
-		next[i] = relax(ti, g, gt, load, sub, r.nodeCap)
+		next[i] = relaxBy(old[i], r.nodeG[i], gt, load, r.nodeDecay[i])
 	}
 	r.temps, r.scratch = next, old
 	r.elapsed += sub

@@ -175,15 +175,29 @@ type Simulator struct {
 	groundUA       float64     // W/K to ground per cell
 	seats          int         // cells receiving occupant heat
 	logDrift       float64     // math.Log1p(MixDriftPerDay)
+	wobPeriod      float64     // turbulence period, s
 	frontPerOutlet []float64   // front cells fed by each outlet
 	classes        []cellTerms // each conductance class's terms
 	groups         []cellGroup // the cells of each (class, load) pair
 
-	// Per-substep scratch, reused so a Step allocates nothing.
-	flows      []float64 // per-outlet supply flow, kg/s
-	supplyUA   []float64 // per-outlet front-cell supply conductance, W/K
-	classG     []float64 // per-class total conductance, W/K
-	classDecay []float64 // per-class exp(-sub*g/cellCap)
+	// Per-Step terms, compiled by compile from the Step's inputs and
+	// substep length: they hold for every substep of the Step.
+	sub        float64    // substep length, s
+	rate       float64    // sub/cellCap, K/W
+	supplyTemp float64    // supply air temperature, degC
+	flows      []float64  // per-outlet supply flow, kg/s
+	supplyUA   []float64  // per-outlet front-cell supply conductance, W/K
+	plenumMix  []float64  // per-outlet 1-exp(-sub*flow/PlenumMass)
+	baseLoad   [4]float64 // lights and occupants per cell, indexed like cellGroup.load
+	wobAmp     float64    // turbulence amplitude per cell, W
+	classEnvT  []float64  // per-class envelope term env*Ambient, W
+	anchorG    []float64  // per-class conductance anchorD was taken at
+	anchorD    []float64  // per-class exp(-sub*anchorG/cellCap)
+
+	// Per-substep class terms, reused so a Step allocates nothing.
+	classG     []float64 // per-class total conductance g, W/K
+	classDecay []float64 // per-class decay d, exp(-sub*g/cellCap) to rounding
+	classGain  []float64 // per-class (1-d)/g, K/W
 
 	elapsed float64 // seconds simulated so far (drives seasonal drift)
 }
@@ -237,6 +251,10 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 
 	nx, ny := cfg.NX, cfg.NY
 	n := nx * ny
+	period := cfg.TurbulencePeriod
+	if period <= 0 {
+		period = 37 * time.Minute
+	}
 	s := &Simulator{
 		cfg:            cfg,
 		nx:             nx,
@@ -245,9 +263,11 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		scratch:        make([]float64, n),
 		outlet:         make([]float64, cfg.NumOutlets),
 		logDrift:       math.Log1p(cfg.MixDriftPerDay),
+		wobPeriod:      period.Seconds(),
 		frontPerOutlet: make([]float64, cfg.NumOutlets),
 		flows:          make([]float64, cfg.NumOutlets),
 		supplyUA:       make([]float64, cfg.NumOutlets),
+		plenumMix:      make([]float64, cfg.NumOutlets),
 	}
 	airMass := RoomDepth * RoomWidth * cfg.Height * airDensity // kg, unscaled
 	cellMass := airMass / float64(n) * cfg.ThermalMassFactor
@@ -325,8 +345,13 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 			g.nbr = append(g.nbr, nbr[:c.edges]...)
 		}
 	}
-	s.classG = make([]float64, len(s.classes))
-	s.classDecay = make([]float64, len(s.classes))
+	nc := len(s.classes)
+	s.classEnvT = make([]float64, nc)
+	s.anchorG = make([]float64, nc)
+	s.anchorD = make([]float64, nc)
+	s.classG = make([]float64, nc)
+	s.classDecay = make([]float64, nc)
+	s.classGain = make([]float64, nc)
 
 	for i := range s.temps {
 		s.temps[i] = cfg.InitialTemp
@@ -340,6 +365,15 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 // NumCells returns the zone cell count.
 func (s *Simulator) NumCells() int { return s.nx * s.ny }
 
+// StepperRevision names the numerics of the archetypes' Steps. The
+// stages that cache simulated output (the pipeline's simulate and
+// control stages) put it in their keys, so a change that moves
+// trajectories' bits changes it and those caches miss once instead of
+// serving the old numbers. Revision 2 compiles each Step's terms once:
+// the auditorium's decays advance by series from a per-Step anchor
+// and its cell update is division-free.
+const StepperRevision = "2"
+
 // Step advances the room by dt under the given inputs. dt is split
 // into substeps no longer than Config.MaxStep, so results have the
 // same fidelity whatever the caller's stepping.
@@ -347,18 +381,89 @@ func (s *Simulator) Step(dt time.Duration, in Inputs) error {
 	if err := checkStep(dt, in); err != nil {
 		return err
 	}
-	total := dt.Seconds()
-	steps := int(math.Ceil(total / s.cfg.MaxStep.Seconds()))
-	if steps < 1 {
-		steps = 1
-	}
-	sub := total / float64(steps)
+	steps, sub := substeps(dt, s.cfg.MaxStep)
+	s.compile(sub, in)
 	for k := 0; k < steps; k++ {
-		s.substep(sub, in)
+		s.substep()
 	}
 	stepsTotal.Inc()
 	cellsStepped.Add(int64(steps * len(s.temps)))
 	return nil
+}
+
+// substeps splits dt into the fewest substeps no longer than maxStep
+// and returns their count and length in seconds.
+func substeps(dt, maxStep time.Duration) (int, float64) {
+	total := dt.Seconds()
+	steps := int(math.Ceil(total / maxStep.Seconds()))
+	if steps < 1 {
+		steps = 1
+	}
+	return steps, total / float64(steps)
+}
+
+// maxSeriesX is the largest exponent increment |x| over which decay
+// advances a class's decay factor by series rather than exp: the
+// series' first dropped term, x^3/6, is then below 1.7e-16 of it.
+const maxSeriesX = 1e-5
+
+// compile computes every term that holds for all substeps of a Step
+// under in, split into substeps of sub seconds: the outlet flows, supply conductances
+// and plenum mixing factors, the lighting and occupant loads, the
+// turbulence amplitude and each class's envelope term. It drops the
+// class decay anchors, so the Step's first substep takes one exp per
+// class.
+func (s *Simulator) compile(sub float64, in Inputs) {
+	cfg := &s.cfg
+	s.sub, s.rate, s.supplyTemp = sub, sub/s.cellCap, in.HVAC.SupplyTemp
+
+	// Supply plenums: first-order mixing of supply air into each
+	// outlet's delivery stream. Each outlet's flow splits over the
+	// front cells in its band.
+	s.outletFlows(in.HVAC.Flows)
+	var totalFlow float64
+	for o, f := range s.flows {
+		totalFlow += f
+		s.plenumMix[o] = 1 - math.Exp(-sub*f/cfg.PlenumMass)
+		s.supplyUA[o] = f * airCp / s.frontPerOutlet[o]
+	}
+
+	// Per-cell loads. A cell's load depends only on whether it is a
+	// seat and which half of the room it is in, so the loads are
+	// indexed like cellGroup.load; substep adds the turbulence.
+	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(s.seats)
+	var lightHeat float64
+	if in.LightsOn {
+		lightHeat = cfg.LightingPower / float64(len(s.temps))
+	}
+	for z := range s.baseLoad {
+		s.baseLoad[z] = lightHeat
+		if z >= 2 {
+			s.baseLoad[z] += occHeat
+		}
+	}
+	// Diffuser/buoyancy turbulence is driven by the supply jets, so its
+	// strength follows the total supply flow: near-quiet overnight when
+	// the plant is off (a small buoyancy floor keeps the air from
+	// sitting perfectly still), full strength under daytime
+	// ventilation.
+	s.wobAmp = 0
+	if cfg.TurbulencePower > 0 {
+		frac := 0.12 + 0.88*totalFlow/1.2
+		if frac > 1 {
+			frac = 1
+		}
+		s.wobAmp = frac * cfg.TurbulencePower / float64(len(s.temps))
+	}
+
+	for c := range s.classes {
+		s.classEnvT[c] = 0
+		if env := s.classes[c].env; env > 0 {
+			s.classEnvT[c] = env * in.Ambient
+		}
+		// A NaN anchor makes decay re-anchor at the first substep.
+		s.anchorG[c] = math.NaN()
+	}
 }
 
 // outletFlows sums the per-VAV flows into s.flows, the per-outlet
@@ -374,82 +479,55 @@ func (s *Simulator) outletFlows(flows []float64) {
 	}
 }
 
-// substep advances one internal step of sub seconds. Each cell relaxes
-// toward the conductance-weighted equilibrium of its frozen
-// neighbourhood; the conductances and their decay factors are
+// decay returns class c's decay factor d = exp(-sub*g/cellCap) at
+// conductance g > 0, and its gain (1-d)/g. Within a Step a class's g
+// moves only with the mixing drift, by about 1e-7 of itself a
+// substep, so d is the class's anchor decay d0, taken with exp at
+// conductance g0, advanced by the series
+// exp(-x) = 1 - x + x^2/2 with x = (g-g0)*sub/cellCap, which is exact
+// to rounding while |x| <= maxSeriesX. A larger |x|, or a dropped
+// anchor, re-anchors at g.
+func (s *Simulator) decay(c int, g float64) (d, gain float64) {
+	if x := (g - s.anchorG[c]) * s.rate; math.Abs(x) <= maxSeriesX {
+		d = s.anchorD[c] * (1 - x + x*x/2)
+	} else {
+		d = math.Exp(-s.sub * g / s.cellCap)
+		s.anchorG[c], s.anchorD[c] = g, d
+	}
+	return d, (1 - d) / g
+}
+
+// substep advances one internal step of the compiled Step. Each cell
+// relaxes toward the conductance-weighted equilibrium of its frozen
+// neighbourhood; the conductances, decay factors and gains are
 // computed once per class, then each cell sums its own weighted
-// temperatures.
-func (s *Simulator) substep(sub float64, in Inputs) {
+// temperatures. The mixing drift, the turbulence phase, the ground
+// drift and the plenum temperatures advance every substep.
+func (s *Simulator) substep() {
 	cfg := &s.cfg
 	mix := cfg.MixingUA * s.driftFactor()
 	// Validate() guarantees boost >= 1 and stage in (0, 1].
 	mixBy := [...]float64{mixBase: mix, mixSeat: mix * cfg.SeatMixBoost, mixStage: mix * cfg.StageMixFactor}
 	groundTemp := cfg.GroundTemp + cfg.GroundTempDriftPerDay*s.elapsed/86400
 
-	s.outletFlows(in.HVAC.Flows)
-	flows := s.flows
-	var totalFlow float64
-	for _, f := range flows {
-		totalFlow += f
+	for o, a := range s.plenumMix {
+		s.outlet[o] += a * (s.supplyTemp - s.outlet[o])
 	}
 
-	// Supply plenums: first-order mixing of supply air into each
-	// outlet's delivery stream. Each outlet's flow splits over the
-	// front cells in its band.
-	for o := range s.outlet {
-		alpha := 1 - math.Exp(-sub*flows[o]/cfg.PlenumMass)
-		s.outlet[o] += alpha * (in.HVAC.SupplyTemp - s.outlet[o])
-		s.supplyUA[o] = flows[o] * airCp / s.frontPerOutlet[o]
-	}
-
-	// Per-cell loads.
-	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(s.seats)
-	var lightHeat float64
-	if in.LightsOn {
-		lightHeat = cfg.LightingPower / float64(len(s.temps))
-	}
-	// Diffuser/buoyancy turbulence: a slow counter-phase oscillation
-	// between the supply-jet half and the return-plume half of the room.
-	// It is driven by the supply jets, so its strength follows the total
-	// supply flow: near-quiet overnight when the plant is off (a small
-	// buoyancy floor keeps the air from sitting perfectly still), full
-	// strength under daytime ventilation.
-	var wobAmp, wobPhase float64
-	if cfg.TurbulencePower > 0 {
-		period := cfg.TurbulencePeriod
-		if period <= 0 {
-			period = 37 * time.Minute
-		}
-		frac := 0.12 + 0.88*totalFlow/1.2
-		if frac > 1 {
-			frac = 1
-		}
-		wobAmp = frac * cfg.TurbulencePower / float64(len(s.temps))
-		wobPhase = 2 * math.Pi * s.elapsed / period.Seconds()
-	}
 	// Two-zone standing oscillation: the front (supply-jet) half and
 	// the back (return-plume) half breathe in counter-phase, like a slow
-	// room-scale circulation cell. A cell's load depends only on
-	// whether it is a seat and which half it is in, so the four loads
-	// are computed once, indexed like cellGroup.load.
-	var wob [2]float64 // front, back
-	if wobAmp > 0 {
-		wob[0] = wobAmp * math.Sin(wobPhase)
-		wob[1] = wobAmp * math.Sin(wobPhase+math.Pi)
-	}
-	var load [4]float64
-	for z := range load {
-		load[z] = lightHeat
-		if z >= 2 {
-			load[z] += occHeat
-		}
-		if wobAmp > 0 {
+	// room-scale circulation cell.
+	load := s.baseLoad
+	if s.wobAmp > 0 {
+		phase := 2 * math.Pi * s.elapsed / s.wobPeriod
+		wob := [2]float64{s.wobAmp * math.Sin(phase), s.wobAmp * math.Sin(phase+math.Pi)} // front, back
+		for z := range load {
 			load[z] += wob[z%2]
 		}
 	}
 
 	// Every cell of a class has the same total conductance, so its
-	// decay factor is one exp.
+	// decay factor and gain are computed once.
 	for c := range s.classes {
 		ct := &s.classes[c]
 		var g float64
@@ -460,24 +538,24 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 			g += ct.env
 		}
 		g += s.groundUA
-		if o := ct.outlet; o >= 0 && flows[o] > 0 {
+		if o := ct.outlet; o >= 0 && s.flows[o] > 0 {
 			g += s.supplyUA[o]
 		}
 		s.classG[c] = g
 		if g > 0 {
-			s.classDecay[c] = math.Exp(-sub * g / s.cellCap)
+			s.classDecay[c], s.classGain[c] = s.decay(c, g)
 		}
 	}
 
 	// The cell update reads only the frozen `old` field (a
 	// Jacobi-style sweep) and relaxes exponentially, so it is
-	// unconditionally stable. Each cell sums, from +0 and in this
-	// order, its edges' conductance-weighted neighbour temperatures,
-	// then the envelope, ground and supply terms. A group computes
-	// each product once; a product of the same two float64 values is
-	// the same float64 wherever it is computed, so every cell gets
-	// the bits of a per-cell sum. A term the class lacks is added as
-	// +0, which changes nothing: a sum started from +0 is never -0.
+	// unconditionally stable: next = d*T + gain*(gt + ext). gt sums,
+	// from +0 and in edge order, the cell's conductance-weighted
+	// neighbour temperatures; ext, the envelope, ground and supply
+	// terms plus the load in that order, is one value per group. A
+	// product of the same two float64 values is the same float64
+	// wherever it is computed, so every cell gets the bits of a
+	// per-cell update.
 	old := s.temps
 	next := s.scratch
 	groundT := s.groundUA * groundTemp
@@ -489,18 +567,16 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 			// relax ignores gt when g <= 0 (the cells only take
 			// their load); a NaN g gives NaN whatever gt is.
 			for _, i := range grp.cells {
-				next[i] = relax(old[i], g, 0, ld, sub, s.cellCap)
+				next[i] = relax(old[i], g, 0, ld, s.sub, s.cellCap)
 			}
 			continue
 		}
-		decay := s.classDecay[grp.class]
-		var envT, supplyT float64
-		if ct.env > 0 {
-			envT = ct.env * in.Ambient
-		}
-		if o := ct.outlet; o >= 0 && flows[o] > 0 {
+		d, gain := s.classDecay[grp.class], s.classGain[grp.class]
+		var supplyT float64
+		if o := ct.outlet; o >= 0 && s.flows[o] > 0 {
 			supplyT = s.supplyUA[o] * s.outlet[o]
 		}
+		ext := s.classEnvT[grp.class] + groundT + supplyT + ld
 		var m [4]float64
 		for e, k := range ct.kind[:ct.edges] {
 			m[e] = mixBy[k]
@@ -512,7 +588,7 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 				gt := 0.0
 				gt += m[0] * old[nb[0]]
 				gt += m[1] * old[nb[1]]
-				next[i] = relaxBy(old[i], g, gt+envT+groundT+supplyT, ld, decay)
+				next[i] = d*old[i] + gain*(gt+ext)
 			}
 		case 3:
 			for c, i := range grp.cells {
@@ -521,7 +597,7 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 				gt += m[0] * old[nb[0]]
 				gt += m[1] * old[nb[1]]
 				gt += m[2] * old[nb[2]]
-				next[i] = relaxBy(old[i], g, gt+envT+groundT+supplyT, ld, decay)
+				next[i] = d*old[i] + gain*(gt+ext)
 			}
 		default: // 4: Validate requires at least 2 cells a side
 			for c, i := range grp.cells {
@@ -531,12 +607,12 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 				gt += m[1] * old[nb[1]]
 				gt += m[2] * old[nb[2]]
 				gt += m[3] * old[nb[3]]
-				next[i] = relaxBy(old[i], g, gt+envT+groundT+supplyT, ld, decay)
+				next[i] = d*old[i] + gain*(gt+ext)
 			}
 		}
 	}
 	s.temps, s.scratch = next, old
-	s.elapsed += sub
+	s.elapsed += s.sub
 }
 
 // relax moves ti toward its frozen-neighborhood equilibrium

@@ -3,17 +3,24 @@ package building
 import (
 	"encoding/binary"
 	"math"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"auditherm/internal/hvac"
+	"auditherm/internal/occupancy"
+	"auditherm/internal/timeseries"
+	"auditherm/internal/weather"
 )
 
 // refSim is the auditorium as it was before NewSimulator compiled the
 // grid into a stencil: every substep rebuilds each cell's conductances
 // from the seat mask, the envelope share and the outlet map, one edge
-// at a time, and relaxes it with its own exp. It is the oracle the
-// compiled substep must match bit for bit.
+// at a time, and relaxes it with its own exp, the numerics the
+// simulator had before it compiled each Step. With compiled set it
+// relaxes each cell by the compiled update rule instead, per cell and
+// with a per-cell decay anchor: the oracle the compiled Step must
+// match bit for bit.
 type refSim struct {
 	cfg Config
 
@@ -29,6 +36,16 @@ type refSim struct {
 	seatMask  []bool
 	outletOf  []int
 
+	compiled bool
+	anchorG  []float64 // per-cell conductance anchorD was taken at
+	anchorD  []float64 // per-cell exp(-sub*anchorG/cellCap)
+
+	// mag is, for the last substep, the largest over the cells of
+	// |T| + (|nb| + |envT| + |groundT| + |supplyT| + |load|)/g: a cell's
+	// temperature plus its equilibrium's terms, in magnitude, the scale
+	// either rule's rounding is relative to.
+	mag float64
+
 	elapsed float64
 }
 
@@ -42,6 +59,8 @@ func newRefSim(cfg Config) *refSim {
 		scratch: make([]float64, n),
 		outlet:  make([]float64, cfg.NumOutlets),
 		envUA:   make([]float64, n),
+		anchorG: make([]float64, n),
+		anchorD: make([]float64, n),
 	}
 	airMass := RoomDepth * RoomWidth * cfg.Height * airDensity
 	cellMass := airMass / float64(n) * cfg.ThermalMassFactor
@@ -83,7 +102,16 @@ func newRefSim(cfg Config) *refSim {
 	for o := range s.outlet {
 		s.outlet[o] = cfg.InitialTemp
 	}
+	s.beginStep()
 	return s
+}
+
+// beginStep drops the per-cell decay anchors, as compile does the
+// class anchors at the start of every Step.
+func (s *refSim) beginStep() {
+	for i := range s.anchorG {
+		s.anchorG[i] = math.NaN()
+	}
 }
 
 func (s *refSim) substep(sub float64, in Inputs) {
@@ -144,11 +172,12 @@ func (s *refSim) substep(sub float64, in Inputs) {
 	old := s.temps
 	next := s.scratch
 	nx, ny := s.nx, s.ny
+	s.mag = 0
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			i := ix*ny + iy
 			seatI := s.seatMask[i]
-			var g, gt float64
+			var g, nb float64
 			edge := func(j int) {
 				m := mix
 				if seatI == s.seatMask[j] {
@@ -159,7 +188,7 @@ func (s *refSim) substep(sub float64, in Inputs) {
 					m *= stage
 				}
 				g += m
-				gt += m * old[j]
+				nb += m * old[j]
 			}
 			if ix > 0 {
 				edge(i - ny)
@@ -173,12 +202,13 @@ func (s *refSim) substep(sub float64, in Inputs) {
 			if iy < ny-1 {
 				edge(i + 1)
 			}
+			var envT, supplyT float64
 			if e := s.envUA[i]; e > 0 {
 				g += e
-				gt += e * in.Ambient
+				envT = e * in.Ambient
 			}
 			g += s.groundUA
-			gt += s.groundUA * groundTemp
+			groundT := s.groundUA * groundTemp
 			load := lightHeat
 			if seatI {
 				load += occHeat
@@ -195,10 +225,28 @@ func (s *refSim) substep(sub float64, in Inputs) {
 				if flows[o] > 0 {
 					gs := flows[o] * airCp / float64(frontPerOutlet[o])
 					g += gs
-					gt += gs * s.outlet[o]
+					supplyT = gs * s.outlet[o]
 				}
 			}
-			next[i] = relax(old[i], g, gt, load, sub, s.cellCap)
+			// A term a cell lacks is +0, and a sum started from +0 is
+			// never -0, so adding it changes nothing.
+			gt := nb + envT + groundT + supplyT
+			if g > 0 {
+				terms := math.Abs(nb) + math.Abs(envT) + math.Abs(groundT) + math.Abs(supplyT) + math.Abs(load)
+				s.mag = math.Max(s.mag, math.Abs(old[i])+terms/g)
+			}
+			if !s.compiled || !(g > 0) {
+				next[i] = relax(old[i], g, gt, load, sub, s.cellCap)
+				continue
+			}
+			var d float64
+			if x := (g - s.anchorG[i]) * (sub / s.cellCap); math.Abs(x) <= maxSeriesX {
+				d = s.anchorD[i] * (1 - x + x*x/2)
+			} else {
+				d = math.Exp(-sub * g / s.cellCap)
+				s.anchorG[i], s.anchorD[i] = g, d
+			}
+			next[i] = d*old[i] + (1-d)/g*(nb+(envT+groundT+supplyT+load))
 		}
 	}
 	s.temps, s.scratch = next, old
@@ -267,9 +315,11 @@ func (d *fuzzDraw) inputs() Inputs {
 }
 
 // FuzzAuditoriumSubstep steps the compiled stencil and the per-cell
-// oracle from the same drawn config, elapsed time and inputs, and
-// requires bit-identical cell and plenum temperatures after every
-// substep.
+// oracle of its update rule from the same drawn config, elapsed time
+// and Steps of drawn inputs, and requires bit-identical cell and
+// plenum temperatures after every substep. It also steps refSim under
+// the exact per-cell exp and requires every cell within
+// relaxDriftBound of it (see there).
 func FuzzAuditoriumSubstep(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -282,33 +332,149 @@ func FuzzAuditoriumSubstep(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newRefSim(cfg)
+		oracle, exact := newRefSim(cfg), newRefSim(cfg)
+		oracle.compiled = true
 		// Up to ~4,100 days ahead: far enough for a -0.5/day drift to
 		// underflow the mixing conductance.
 		s.elapsed = float64(d.u16()) * 5400
-		ref.elapsed = s.elapsed
+		oracle.elapsed, exact.elapsed = s.elapsed, s.elapsed
 		sub := d.in(0.5, 60)
-		for step, steps := 0, d.intIn(1, 4); step < steps; step++ {
+		var scale float64
+		for step, steps := 0, d.intIn(1, 3); step < steps; step++ {
 			in := d.inputs()
-			s.substep(sub, in)
-			ref.substep(sub, in)
-			for i := range s.temps {
-				if got, want := s.temps[i], ref.temps[i]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("substep %d cell %d: stencil %v (%x), oracle %v (%x)\nconfig %+v\ninputs %+v",
-						step, i, got, math.Float64bits(got), want, math.Float64bits(want), cfg, in)
+			s.compile(sub, in)
+			oracle.beginStep()
+			for k, n := 0, d.intIn(1, 6); k < n; k++ {
+				s.substep()
+				oracle.substep(sub, in)
+				exact.substep(sub, in)
+				for i := range s.temps {
+					if got, want := s.temps[i], oracle.temps[i]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("step %d substep %d cell %d: stencil %v (%x), oracle %v (%x)\nconfig %+v\ninputs %+v",
+							step, k, i, got, math.Float64bits(got), want, math.Float64bits(want), cfg, in)
+					}
 				}
-			}
-			for o := range s.outlet {
-				if got, want := s.outlet[o], ref.outlet[o]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("substep %d outlet %d: stencil %v, oracle %v", step, o, got, want)
+				for o := range s.outlet {
+					if got, want := s.outlet[o], oracle.outlet[o]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("step %d substep %d outlet %d: stencil %v, oracle %v", step, k, o, got, want)
+					}
+				}
+				scale += exact.mag
+				if math.IsInf(scale, 0) || math.IsNaN(scale) {
+					return // the exact rule has overflowed; nothing to bound
+				}
+				for i := range s.temps {
+					if dev := math.Abs(s.temps[i] - exact.temps[i]); !(dev <= relaxDriftBound*scale) {
+						t.Fatalf("step %d substep %d cell %d: compiled %v, exact %v: %.3g of the %.3g scale, bound %.3g\nconfig %+v\ninputs %+v",
+							step, k, i, s.temps[i], exact.temps[i], dev/scale, scale, relaxDriftBound, cfg, in)
+					}
 				}
 			}
 		}
 	})
 }
 
+// relaxDriftBound bounds how far the compiled Step may drift from the
+// exact per-cell exp over the fuzzer's configs, as a fraction of the
+// sum over substeps of the largest |T| + |teq| (refSim.mag). Each rule
+// rounds a substep's update within a few ulps of that magnitude, the
+// series adds under 1.7e-16 of it, and a Jacobi sweep whose weights
+// sum to at most 1 does not grow a deviation, so the bound grows only
+// by addition.
+const relaxDriftBound = 1e-14
+
+// TestCompiledTracksExactRelax steps the default auditorium and refSim
+// under the exact per-cell exp through 14 days of the default
+// dataset's inputs (its weather, occupancy schedule and plant, the
+// plant reading the compiled room's thermostats) in 30 s and in
+// 2-minute Steps, and holds every cell within 1e-12 degC of refSim
+// after every Step.
+func TestCompiledTracksExactRelax(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("serial numerics the race detector has nothing to check in; ~11 s under -race")
+	}
+	const days = 14
+	start := time.Date(2013, time.January, 31, 0, 0, 0, 0, time.UTC)
+	end := start.AddDate(0, 0, days)
+	wm, err := weather.NewModel(weather.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := timeseries.NewGrid(start, end.Add(time.Hour), 10*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ambient := wm.Series(grid)
+	sched, err := occupancy.Generate(start, end, occupancy.DefaultGeneratorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var thermo []Point
+	for _, sp := range AuditoriumSensors() {
+		if sp.Thermostat {
+			thermo = append(thermo, sp.Pos)
+		}
+	}
+	readings := make([]float64, len(thermo))
+	for _, step := range []time.Duration{30 * time.Second, 2 * time.Minute} {
+		cfg := DefaultConfig()
+		s, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := newRefSim(cfg)
+		plant, err := hvac.NewPlant(hvac.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, sub := substeps(step, cfg.MaxStep)
+		var worst float64
+		for at := start; at.Before(end); at = at.Add(step) {
+			amb, ok := ambient.InterpAt(at)
+			if !ok {
+				t.Fatalf("no ambient at %v", at)
+			}
+			s.TemperaturesAt(thermo, readings)
+			st, err := plant.Step(at, step, readings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			occ := sched.CountAt(at)
+			in := Inputs{HVAC: st, Occupants: occ, LightsOn: occ > 0, Ambient: amb}
+			if err := s.Step(step, in); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < steps; k++ {
+				exact.substep(sub, in)
+			}
+			for i, v := range s.temps {
+				worst = math.Max(worst, math.Abs(v-exact.temps[i]))
+			}
+		}
+		t.Logf("%v Steps: largest deviation from the exact exp %.3g degC", step, worst)
+		if !(worst <= 1e-12) {
+			t.Errorf("%v Steps: compiled room %.3g degC from the exact exp, above 1e-12", step, worst)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // TestPaperGridClasses pins the compiled paper grid: 60 cells fall
-// into 11 conductance classes, so a substep takes 11 exps, not 60, and
+// into 11 conductance classes, so a Step's first substep takes 11 decay
+// exps, not 60, and
 // into 13 (class, load) groups, each cell once and in row-major order
 // within its group.
 func TestPaperGridClasses(t *testing.T) {

@@ -57,7 +57,7 @@ func Simulate(e *Engine, cfg dataset.Config) *Node[*dataset.Dataset] {
 // engine.
 func SimulateNamed(e *Engine, name string, cfg dataset.Config) *Node[*dataset.Dataset] {
 	return Define(e, name, artifact.DatasetCodec,
-		map[string]string{"dataset_config": hashJSON(cfg)},
+		map[string]string{"dataset_config": hashJSON(cfg), "stepper": building.StepperRevision},
 		nil,
 		func(ctx context.Context) (*dataset.Dataset, error) {
 			return dataset.Generate(cfg)
@@ -572,7 +572,7 @@ func ControlRunNamed(e *Engine, name string, cc ControlConfig, customize func(*c
 		opts = append(opts, NoCache())
 	}
 	return Define(e, name, ControlCodec,
-		map[string]string{"control_config": hashJSON(cc)},
+		map[string]string{"control_config": hashJSON(cc), "stepper": building.StepperRevision},
 		nil,
 		func(ctx context.Context) (*ControlSummary, error) {
 			var ctrl control.Controller

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"auditherm/internal/artifact"
+	"auditherm/internal/building"
 	"auditherm/internal/cluster"
 	"auditherm/internal/control"
 	"auditherm/internal/dataset"
@@ -209,6 +211,34 @@ func TestControlRunCachedAndCustomized(t *testing.T) {
 	}
 	if r, _ := n.Result(); r.Key != "" || r.CacheHit {
 		t.Errorf("customized control run was cached: %+v", r)
+	}
+}
+
+// TestStagesKeyStepperRevision pins building.StepperRevision in the
+// simulate and control stages' keys: a cache written under other
+// stepper numerics must miss rather than serve their trajectories.
+func TestStagesKeyStepperRevision(t *testing.T) {
+	e, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := smallDatasetConfig()
+	cc := ControlConfig{Controller: "deadband", Days: 2, Setpoint: 22.5, Seed: 7}
+	for _, tc := range []struct {
+		name   string
+		got    string
+		config map[string]string
+	}{
+		{"simulate", SimulateNamed(e, "simulate", dc).n.configHash, map[string]string{"dataset_config": hashJSON(dc)}},
+		{"control", ControlRunNamed(e, "control", cc, nil).n.configHash, map[string]string{"control_config": hashJSON(cc)}},
+	} {
+		if tc.got == artifact.HashConfig(tc.config) {
+			t.Errorf("%s: key ignores the stepper revision", tc.name)
+		}
+		tc.config["stepper"] = building.StepperRevision
+		if tc.got != artifact.HashConfig(tc.config) {
+			t.Errorf("%s: key is not its config plus stepper=%s", tc.name, building.StepperRevision)
+		}
 	}
 }
 
