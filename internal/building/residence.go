@@ -303,6 +303,8 @@ func (r *Residence) substep(sub float64) {
 	// and lights live there too. The asymmetry is what keeps the node
 	// chain from collapsing to one effective state.
 	solar := r.solarGain * r.solarShape()
+	frontLoad := r.frontLoad + solar*0.7/float64(front)
+	backLoad := solar * 0.3 / float64(n-front)
 
 	old := r.temps
 	next := r.scratch
@@ -316,12 +318,9 @@ func (r *Residence) substep(sub float64) {
 		}
 		gt += r.envT
 		gt += r.supplyT
-
-		var load float64
+		load := backLoad
 		if i < front {
-			load = r.frontLoad + solar*0.7/float64(front)
-		} else {
-			load = solar * 0.3 / float64(n-front)
+			load = frontLoad
 		}
 		next[i] = relaxBy(old[i], r.nodeG[i], gt, load, r.nodeDecay[i])
 	}

