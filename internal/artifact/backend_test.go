@@ -222,8 +222,9 @@ func TestMemLRU(t *testing.T) {
 
 // TestMemHoldsOnlyCountedBytes: artifacts written through a tiered
 // stack (whose encoder runs into a growing buffer) and promoted from a
-// colder tier keep no spare capacity in the mem tier, so the bytes it
-// retains are the bytes its budget counts.
+// colder tier are counted by the capacity the mem tier retains, spare
+// capacity included, so the bytes it retains are the bytes its budget
+// counts.
 func TestMemHoldsOnlyCountedBytes(t *testing.T) {
 	ctx := context.Background()
 	local, err := Open(t.TempDir())

@@ -93,18 +93,12 @@ func (m *Mem) GetBytes(key Digest) ([]byte, Info, bool) {
 }
 
 // PutBytes stores an already-encoded artifact (tier promotion and the
-// remote fetch path use it; data must not be mutated afterwards). An
-// encode buffer's spare capacity would stay reachable through the
-// entry while the byte budget counts only its length, so data with
-// spare capacity is stored as an exactly sized copy.
+// remote fetch path use it; data must not be mutated afterwards). The
+// entry keeps data's whole backing array reachable, an encode buffer's
+// spare capacity included, so the byte budget counts cap(data).
 func (m *Mem) PutBytes(key Digest, data []byte, info Info) {
-	if ValidateKey(key) != nil || int64(len(data)) > m.cap {
+	if ValidateKey(key) != nil || int64(cap(data)) > m.cap {
 		return
-	}
-	if cap(data) != len(data) {
-		exact := make([]byte, len(data))
-		copy(exact, data)
-		data = exact
 	}
 	m.mu.Lock()
 	if el, ok := m.entries[key]; ok {
@@ -114,13 +108,13 @@ func (m *Mem) PutBytes(key Digest, data []byte, info Info) {
 		return
 	}
 	m.entries[key] = m.order.PushFront(&memEntry{key: key, data: data, info: info})
-	m.total += int64(len(data))
+	m.total += int64(cap(data))
 	for m.total > m.cap {
 		last := m.order.Back()
 		e := last.Value.(*memEntry)
 		m.order.Remove(last)
 		delete(m.entries, e.key)
-		m.total -= int64(len(e.data))
+		m.total -= int64(cap(e.data))
 		memEvictionsTotal.Inc()
 	}
 	memBytes.Set(float64(m.total))

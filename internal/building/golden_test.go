@@ -16,19 +16,99 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"regenerate testdata/auditorium_golden.json and testdata/archetype_golden.json from the current steppers")
 
-// goldenFixture pins the auditorium archetype's trajectory bit-for-bit.
-// It was captured from the pre-archetype-refactor simulator; the test
-// failing means the refactor changed the auditorium's numerics, which
-// the archetype work must never do. Floats are stored as exact IEEE-754
-// bit patterns so the comparison is exact, not tolerance-based.
-type goldenFixture struct {
-	// Steps is the number of recorded checkpoints.
-	Steps int `json:"steps"`
-	// SensorTemps[k] holds the 27 sensor temperatures at checkpoint k,
-	// as uint64 float bits rendered in hex.
+// trajectory is one pinned run: per checkpoint, the temperature at
+// each installed sensor and the zone mean. Floats are stored as exact
+// IEEE-754 bit patterns in hex, so the comparison is exact, not
+// tolerance-based.
+type trajectory struct {
 	SensorTemps [][]string `json:"sensor_temps_bits"`
-	// MeanTemp holds the per-checkpoint room mean (bit patterns).
-	MeanTemp []string `json:"mean_temp_bits"`
+	MeanTemp    []string   `json:"mean_temp_bits"`
+}
+
+// checkpoint appends b's temperature at each sensor and its mean.
+func (tr *trajectory) checkpoint(b Building, sensors []SensorSpec) {
+	row := make([]string, len(sensors))
+	for i, sp := range sensors {
+		row[i] = bits(b.TemperatureAt(sp.Pos))
+	}
+	tr.SensorTemps = append(tr.SensorTemps, row)
+	tr.MeanTemp = append(tr.MeanTemp, bits(b.MeanTemp()))
+}
+
+// golden is a golden file's content, which names its trajectories.
+type golden interface{ runs() map[string]trajectory }
+
+// goldenFixture is auditorium_golden.json: the default auditorium's
+// trajectory, with Steps its checkpoint count.
+type goldenFixture struct {
+	Steps int `json:"steps"`
+	trajectory
+}
+
+func (f goldenFixture) runs() map[string]trajectory {
+	return map[string]trajectory{"auditorium": f.trajectory}
+}
+
+// archetypeRuns is archetype_golden.json: the office and residence
+// trajectories by building and Step length.
+type archetypeRuns map[string]trajectory
+
+func (r archetypeRuns) runs() map[string]trajectory { return r }
+
+// checkGolden holds got to the golden file at path, decoded into want,
+// exact to the last bit of every checkpoint; with -update-golden it
+// rewrites the file from got instead. The golden files pin the
+// numerics that building.StepperRevision names, and the pipeline's
+// cache keys carry that revision: a change that has to re-pin them
+// also bumps StepperRevision, so caches written under the old numerics
+// miss, and lists every moved number in CHANGES.md.
+func checkGolden(t *testing.T, path string, got, want golden) {
+	t.Helper()
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden fixture rewritten: %s", path)
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden fixture (regenerate with -update-golden): %v", err)
+	}
+	if err := json.Unmarshal(data, want); err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.runs(), want.runs()
+	if len(g) != len(w) {
+		t.Fatalf("%d trajectories, golden has %d", len(g), len(w))
+	}
+	for run, wt := range w {
+		gt, ok := g[run]
+		if !ok {
+			t.Fatalf("golden run %s not produced", run)
+		}
+		if len(gt.MeanTemp) != len(wt.MeanTemp) {
+			t.Fatalf("%s: %d checkpoints, want %d", run, len(gt.MeanTemp), len(wt.MeanTemp))
+		}
+		for k := range wt.MeanTemp {
+			if len(gt.SensorTemps[k]) != len(wt.SensorTemps[k]) {
+				t.Fatalf("%s checkpoint %d: %d sensors, want %d", run, k+1, len(gt.SensorTemps[k]), len(wt.SensorTemps[k]))
+			}
+			for i, wb := range wt.SensorTemps[k] {
+				if gb := gt.SensorTemps[k][i]; gb != wb {
+					t.Fatalf("%s checkpoint %d sensor %d: got %v (bits %s), want %v (bits %s): the stepper's numerics changed",
+						run, k+1, i+1, unbits(gb), gb, unbits(wb), wb)
+				}
+			}
+			if gt.MeanTemp[k] != wt.MeanTemp[k] {
+				t.Fatalf("%s checkpoint %d mean: got %v, want %v", run, k+1, unbits(gt.MeanTemp[k]), unbits(wt.MeanTemp[k]))
+			}
+		}
+	}
 }
 
 func bits(v float64) string   { return strconv.FormatUint(math.Float64bits(v), 16) }
@@ -88,68 +168,15 @@ func goldenTrajectory(t *testing.T, record func(k int, sim *Simulator, sensors [
 	}
 }
 
-// TestAuditoriumGolden locks the auditorium archetype to its
-// pre-refactor trajectory, exact to the last float bit.
+// TestAuditoriumGolden pins the default auditorium's trajectory
+// under goldenTrajectory's scenario, exact to the last float bit.
 func TestAuditoriumGolden(t *testing.T) {
-	path := filepath.Join("testdata", "auditorium_golden.json")
-
 	var got goldenFixture
 	goldenTrajectory(t, func(k int, sim *Simulator, sensors []SensorSpec) {
 		got.Steps++
-		row := make([]string, len(sensors))
-		for i, sp := range sensors {
-			row[i] = bits(sim.TemperatureAt(sp.Pos))
-		}
-		got.SensorTemps = append(got.SensorTemps, row)
-		got.MeanTemp = append(got.MeanTemp, bits(sim.MeanTemp()))
+		got.checkpoint(sim, sensors)
 	})
-
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(&got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden fixture rewritten: %s", path)
-		return
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden fixture (regenerate with -update-golden): %v", err)
-	}
-	var want goldenFixture
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if got.Steps != want.Steps {
-		t.Fatalf("checkpoints: got %d, want %d", got.Steps, want.Steps)
-	}
-	for k := 0; k < want.Steps; k++ {
-		for i := range want.SensorTemps[k] {
-			if got.SensorTemps[k][i] != want.SensorTemps[k][i] {
-				t.Fatalf("checkpoint %d sensor %d: got %v (bits %s), want %v (bits %s) — auditorium numerics changed",
-					k, i+1, unbits(got.SensorTemps[k][i]), got.SensorTemps[k][i],
-					unbits(want.SensorTemps[k][i]), want.SensorTemps[k][i])
-			}
-		}
-		if got.MeanTemp[k] != want.MeanTemp[k] {
-			t.Fatalf("checkpoint %d mean temp: got %v, want %v", k, unbits(got.MeanTemp[k]), unbits(want.MeanTemp[k]))
-		}
-	}
-}
-
-// archetypeTrajectory is one office or residence run of the archetype
-// golden: per checkpoint, the temperature at each installed sensor and
-// the zone mean, as float64 bit patterns in hex.
-type archetypeTrajectory struct {
-	SensorTemps [][]string `json:"sensor_temps_bits"`
-	MeanTemp    []string   `json:"mean_temp_bits"`
+	checkGolden(t, filepath.Join("testdata", "auditorium_golden.json"), got, &goldenFixture{})
 }
 
 // archetypeGoldenSpecs are the pinned buildings: each default and one
@@ -208,8 +235,7 @@ func archetypeScenario(minute int) Inputs {
 // archetypeScenario for 24 hours in 1-minute and in 2-minute Steps,
 // checkpointed every hour.
 func TestArchetypeGolden(t *testing.T) {
-	path := filepath.Join("testdata", "archetype_golden.json")
-	got := make(map[string]archetypeTrajectory)
+	got := make(archetypeRuns)
 	for name, sp := range archetypeGoldenSpecs(t) {
 		sensors := sp.Sensors()
 		for _, stepMin := range []int{1, 2} {
@@ -217,69 +243,17 @@ func TestArchetypeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tr archetypeTrajectory
+			var tr trajectory
 			for minute := 0; minute < 24*60; minute += stepMin {
 				if err := b.Step(time.Duration(stepMin)*time.Minute, archetypeScenario(minute)); err != nil {
 					t.Fatal(err)
 				}
-				if (minute+stepMin)%60 != 0 {
-					continue
+				if (minute+stepMin)%60 == 0 {
+					tr.checkpoint(b, sensors)
 				}
-				row := make([]string, len(sensors))
-				for i, s := range sensors {
-					row[i] = bits(b.TemperatureAt(s.Pos))
-				}
-				tr.SensorTemps = append(tr.SensorTemps, row)
-				tr.MeanTemp = append(tr.MeanTemp, bits(b.MeanTemp()))
 			}
 			got[name+"/"+strconv.Itoa(stepMin)+"m"] = tr
 		}
 	}
-
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden fixture rewritten: %s", path)
-		return
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden fixture (regenerate with -update-golden): %v", err)
-	}
-	var want map[string]archetypeTrajectory
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d trajectories, golden has %d", len(got), len(want))
-	}
-	for run, w := range want {
-		g, ok := got[run]
-		if !ok {
-			t.Fatalf("golden run %s not produced", run)
-		}
-		if len(g.MeanTemp) != len(w.MeanTemp) {
-			t.Fatalf("%s: %d checkpoints, want %d", run, len(g.MeanTemp), len(w.MeanTemp))
-		}
-		for k := range w.MeanTemp {
-			if len(g.SensorTemps[k]) != len(w.SensorTemps[k]) {
-				t.Fatalf("%s hour %d: %d sensors, want %d", run, k+1, len(g.SensorTemps[k]), len(w.SensorTemps[k]))
-			}
-			for i, wb := range w.SensorTemps[k] {
-				if gb := g.SensorTemps[k][i]; gb != wb {
-					t.Fatalf("%s hour %d sensor %d: got %v (bits %s), want %v (bits %s)",
-						run, k+1, i+1, unbits(gb), gb, unbits(wb), wb)
-				}
-			}
-			if g.MeanTemp[k] != w.MeanTemp[k] {
-				t.Fatalf("%s hour %d mean: got %v, want %v", run, k+1, unbits(g.MeanTemp[k]), unbits(w.MeanTemp[k]))
-			}
-		}
-	}
+	checkGolden(t, filepath.Join("testdata", "archetype_golden.json"), got, &archetypeRuns{})
 }
