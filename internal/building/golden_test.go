@@ -179,9 +179,11 @@ func TestAuditoriumGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "auditorium_golden.json"), got, &goldenFixture{})
 }
 
-// archetypeGoldenSpecs are the pinned buildings: each default and one
+// archetypeGoldenSpecs are the pinned buildings: each default, one
 // randomized member of each archetype (a 3x2 office with a per-edge
-// conductance scale, a three-node residence).
+// conductance scale, a three-node residence), a one-row office (the
+// default with ZY = 1, a chain of zones like the residence's) and an
+// unglazed residence (the default with no window, so no solar gain).
 func archetypeGoldenSpecs(t *testing.T) map[string]Spec {
 	t.Helper()
 	specs := make(map[string]Spec)
@@ -199,6 +201,12 @@ func archetypeGoldenSpecs(t *testing.T) map[string]Spec {
 		}
 		specs[name+"/random"] = sp
 	}
+	row := DefaultOfficeConfig()
+	row.ZY = 1
+	specs["office/one-row"] = Spec{Archetype: ArchetypeOffice, Office: &row}
+	dark := DefaultResidenceConfig()
+	dark.WindowFrac = 0
+	specs["residence/unglazed"] = Spec{Archetype: ArchetypeResidence, Residence: &dark}
 	return specs
 }
 
