@@ -8,7 +8,7 @@ import (
 // Building is the common surface every thermal archetype presents to
 // the rest of the stack: step dynamics driven by Inputs and a
 // floor-plan temperature field probed at Points. *Simulator (the
-// auditorium), *Office and *Residence all satisfy it.
+// auditorium) and *zoneNet (the office and the residence) satisfy it.
 type Building interface {
 	// Step advances the model by dt under the given inputs.
 	Step(dt time.Duration, in Inputs) error
@@ -24,8 +24,7 @@ type Building interface {
 
 var (
 	_ Building = (*Simulator)(nil)
-	_ Building = (*Office)(nil)
-	_ Building = (*Residence)(nil)
+	_ Building = (*zoneNet)(nil)
 )
 
 // Archetype names accepted by DefaultSpec and RandomSpec.
@@ -82,8 +81,8 @@ func DefaultSpec(archetype string) (Spec, error) {
 	}
 }
 
-// config returns the one config pointer that must be set, erroring on
-// missing or extraneous configs.
+// check requires the config pointer that Archetype names and no
+// other, erroring on a missing or stray config or an unknown archetype.
 func (sp Spec) check() error {
 	type slot struct {
 		name string
@@ -127,18 +126,20 @@ func (sp Spec) Validate() error {
 	}
 }
 
-// New validates the spec and constructs its Building.
+// New validates the spec and constructs its Building: the
+// auditorium's Simulator, or the zone network of an office or a
+// residence.
 func (sp Spec) New() (Building, error) {
-	if err := sp.check(); err != nil {
+	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
 	switch sp.Archetype {
 	case ArchetypeAuditorium:
 		return NewSimulator(*sp.Auditorium)
 	case ArchetypeOffice:
-		return NewOffice(*sp.Office)
+		return newZoneNet(sp.Office.network()), nil
 	default:
-		return NewResidence(*sp.Residence)
+		return newZoneNet(sp.Residence.network()), nil
 	}
 }
 
@@ -206,33 +207,67 @@ func (sp Spec) Metadata() Metadata {
 	}
 }
 
-// interpBilinear evaluates a row-major nx-by-ny zone-center field at a
-// floor-plan point by bilinear interpolation, clamped to the
-// zone-center lattice. depth/width is the floor-plan extent.
-func interpBilinear(temps []float64, nx, ny int, depth, width float64, p Point) float64 {
-	dx := depth / float64(nx)
-	dy := width / float64(ny)
+// field is a row-major nx-by-ny grid of zone-center temperatures over
+// a depth-by-width floor plan. Every archetype keeps its temperatures
+// in one and serves the Building probes from it.
+type field struct {
+	nx, ny       int
+	depth, width float64
+	temps        []float64 // zone temperatures, row-major [ix*ny+iy]
+}
+
+// TemperatureAt returns the air temperature at a floor-plan point by
+// bilinear interpolation between zone centers, clamped to the
+// zone-center lattice (so at the walls, and along Y when ny is 1, it
+// takes the nearest centers' values).
+func (f *field) TemperatureAt(p Point) float64 {
+	dx := f.depth / float64(f.nx)
+	dy := f.width / float64(f.ny)
 	fx := p.X/dx - 0.5
 	fy := p.Y/dy - 0.5
-	fx = minf(maxf(fx, 0), float64(nx-1))
-	fy = minf(maxf(fy, 0), float64(ny-1))
+	fx = minf(maxf(fx, 0), float64(f.nx-1))
+	fy = minf(maxf(fy, 0), float64(f.ny-1))
 	ix0 := int(fx)
 	iy0 := int(fy)
 	ix1 := ix0 + 1
 	iy1 := iy0 + 1
-	if ix1 > nx-1 {
-		ix1 = nx - 1
+	if ix1 > f.nx-1 {
+		ix1 = f.nx - 1
 	}
-	if iy1 > ny-1 {
-		iy1 = ny - 1
+	if iy1 > f.ny-1 {
+		iy1 = f.ny - 1
 	}
 	tx := fx - float64(ix0)
 	ty := fy - float64(iy0)
-	t00 := temps[ix0*ny+iy0]
-	t01 := temps[ix0*ny+iy1]
-	t10 := temps[ix1*ny+iy0]
-	t11 := temps[ix1*ny+iy1]
+	t00 := f.temps[ix0*f.ny+iy0]
+	t01 := f.temps[ix0*f.ny+iy1]
+	t10 := f.temps[ix1*f.ny+iy0]
+	t11 := f.temps[ix1*f.ny+iy1]
 	return (1-tx)*((1-ty)*t00+ty*t01) + tx*((1-ty)*t10+ty*t11)
+}
+
+// TemperaturesAt evaluates TemperatureAt for every point in ps,
+// writing into dst when it has matching length (zero-alloc for hot
+// monitoring loops that sample the truth field every control step) and
+// allocating otherwise. It returns the filled slice.
+func (f *field) TemperaturesAt(ps []Point, dst []float64) []float64 {
+	if len(dst) != len(ps) {
+		dst = make([]float64, len(ps))
+	}
+	for i, p := range ps {
+		dst[i] = f.TemperatureAt(p)
+	}
+	return dst
+}
+
+// MeanTemp returns the average zone temperature (the return-air
+// temperature seen by the plant).
+func (f *field) MeanTemp() float64 {
+	var sum float64
+	for _, t := range f.temps {
+		sum += t
+	}
+	return sum / float64(len(f.temps))
 }
 
 func minf(a, b float64) float64 {

@@ -2,13 +2,13 @@ package building
 
 import "auditherm/internal/obs"
 
-// Hot-path instrumentation for the zonal simulator. All metrics are
+// Hot-path instrumentation for every archetype's Step. All metrics are
 // atomic counters on the obs Default registry: one Inc and one Add per
 // Step call (not per cell, not per substep), so overhead is a few
 // nanoseconds against a multi-microsecond step.
 var (
 	stepsTotal = obs.NewCounter("auditherm_building_steps_total",
-		"Simulator.Step calls across all simulator instances.")
+		"Building Step calls across every archetype and instance.")
 	cellsStepped = obs.NewCounter("auditherm_building_cells_stepped_total",
-		"Air-cell substep updates performed (substeps x grid cells).")
+		"Cell and zone substep updates across every archetype (substeps x cells or zones).")
 )

@@ -155,236 +155,32 @@ func (c OfficeConfig) Metadata() Metadata {
 	}
 }
 
-// Office is the multi-zone office model. It satisfies Building.
-type Office struct {
-	cfg OfficeConfig
-
-	zx, zy  int
-	temps   []float64 // zone temperatures, row-major [ix*zy+iy]
-	scratch []float64
-
-	// links lists each zone's neighbours in edge order ix-1, ix+1,
-	// iy-1, iy+1, zone i's at links[first[i]:first[i+1]].
-	links   []link
-	first   []int
-	envUA   []float64 // per-zone conductance to ambient, W/K
-	roofUA  float64   // per-zone roof conductance, W/K
-	zoneCap float64   // J/K per zone
-
-	// Per-Step terms, compiled by compile from the Step's inputs.
-	colFlow   []float64 // scratch: per-column supply flow, kg/s
-	zoneFlow  []float64 // per-zone supply flow, kg/s
-	envT      []float64 // per-zone envelope term envUA*Ambient, W
-	roofT     float64   // roof term roofUA*Ambient, W
-	supplyT   []float64 // per-zone supply term flow*airCp*SupplyTemp, W
-	zoneG     []float64 // per-zone total conductance, W/K
-	zoneDecay []float64 // per-zone exp(-sub*g/zoneCap)
-	load      float64   // occupant and lighting heat per zone, W
-}
-
-// link is one neighbour of a zone and the conductance between them.
-type link struct {
-	j  int     // neighbour zone
-	ua float64 // W/K
-}
-
-// NewOffice validates cfg and returns an office at the initial
-// uniform state.
-func NewOffice(cfg OfficeConfig) (*Office, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxStep <= 0 {
-		cfg.MaxStep = 10 * time.Second
-	}
-	n := cfg.ZX * cfg.ZY
-	o := &Office{
-		cfg:     cfg,
-		zx:      cfg.ZX,
-		zy:      cfg.ZY,
-		temps:   make([]float64, n),
-		scratch: make([]float64, n),
-		first:   make([]int, n+1),
-		envUA:   make([]float64, n),
-
-		colFlow:   make([]float64, cfg.ZY),
-		zoneFlow:  make([]float64, n),
-		envT:      make([]float64, n),
-		supplyT:   make([]float64, n),
-		zoneG:     make([]float64, n),
-		zoneDecay: make([]float64, n),
-	}
-	airMass := cfg.Depth * cfg.Width * cfg.Height * airDensity // kg, unscaled
-	o.zoneCap = airMass / float64(n) * cfg.ThermalMassFactor * airCp
-	o.roofUA = cfg.RoofUA / float64(n)
-
-	// The identified thermal network: base conductance times the
-	// per-edge scale (uniform when UAScale is nil). Edges run X-edges
-	// first, then Y-edges, each row-major.
-	edgeUA := func(e int) float64 {
-		s := 1.0
-		if len(cfg.UAScale) > 0 {
-			s = cfg.UAScale[e]
-		}
-		return cfg.InterZoneUA * s
-	}
-	xEdge := func(ix, iy int) int { return ix*o.zy + iy }
-	yEdge := func(ix, iy int) int { return (o.zx-1)*o.zy + ix*(o.zy-1) + iy }
-
-	perimeter := 0
-	for ix := 0; ix < o.zx; ix++ {
-		for iy := 0; iy < o.zy; iy++ {
-			if ix == 0 || ix == o.zx-1 || iy == 0 || iy == o.zy-1 {
-				perimeter++
+// network returns the office as a ZX×ZY zone network: the identified
+// per-edge conductances, the envelope shared by the perimeter zones,
+// and the roof, occupants and lights by every zone. c must be valid.
+func (c OfficeConfig) network() network {
+	n := c.ZX * c.ZY
+	perimeter := n - max(c.ZX-2, 0)*max(c.ZY-2, 0)
+	envUA := make([]float64, n)
+	for ix := 0; ix < c.ZX; ix++ {
+		for iy := 0; iy < c.ZY; iy++ {
+			if ix == 0 || ix == c.ZX-1 || iy == 0 || iy == c.ZY-1 {
+				envUA[ix*c.ZY+iy] = c.EnvelopeUA / float64(perimeter)
 			}
 		}
 	}
-	for ix := 0; ix < o.zx; ix++ {
-		for iy := 0; iy < o.zy; iy++ {
-			i := ix*o.zy + iy
-			if ix > 0 {
-				o.links = append(o.links, link{i - o.zy, edgeUA(xEdge(ix-1, iy))})
-			}
-			if ix < o.zx-1 {
-				o.links = append(o.links, link{i + o.zy, edgeUA(xEdge(ix, iy))})
-			}
-			if iy > 0 {
-				o.links = append(o.links, link{i - 1, edgeUA(yEdge(ix, iy-1))})
-			}
-			if iy < o.zy-1 {
-				o.links = append(o.links, link{i + 1, edgeUA(yEdge(ix, iy))})
-			}
-			o.first[i+1] = len(o.links)
-			if ix == 0 || ix == o.zx-1 || iy == 0 || iy == o.zy-1 {
-				o.envUA[i] = cfg.EnvelopeUA / float64(perimeter)
-			}
-		}
+	airMass := c.Depth * c.Width * c.Height * airDensity // kg, unscaled
+	return network{
+		field:         field{nx: c.ZX, ny: c.ZY, depth: c.Depth, width: c.Width},
+		zoneCap:       airMass / float64(n) * c.ThermalMassFactor * airCp,
+		interUA:       c.InterZoneUA,
+		uaScale:       c.UAScale,
+		envUA:         envUA,
+		roofUA:        c.RoofUA / float64(n),
+		occupied:      n,
+		occupantHeat:  c.OccupantHeat,
+		lightingPower: c.LightingPower,
+		initialTemp:   c.InitialTemp,
+		maxStep:       c.MaxStep,
 	}
-
-	for i := range o.temps {
-		o.temps[i] = cfg.InitialTemp
-	}
-	return o, nil
-}
-
-// NumZones returns the zone count.
-func (o *Office) NumZones() int { return o.zx * o.zy }
-
-// Step advances the office by dt under the given inputs.
-func (o *Office) Step(dt time.Duration, in Inputs) error {
-	if err := checkStep(dt, in); err != nil {
-		return err
-	}
-	steps, sub := substeps(dt, o.cfg.MaxStep)
-	o.compile(sub, in)
-	for k := 0; k < steps; k++ {
-		o.substep()
-	}
-	stepsTotal.Inc()
-	cellsStepped.Add(int64(steps * len(o.temps)))
-	return nil
-}
-
-// compile computes every term that holds for all substeps of a Step
-// under in, split into substeps of sub seconds: the zone flows, each
-// zone's source terms, total conductance and decay factor, and the
-// zone load.
-func (o *Office) compile(sub float64, in Inputs) {
-	cfg := &o.cfg
-	n := len(o.temps)
-
-	// Each VAV serves a contiguous band of Y columns; its flow splits
-	// evenly over the zones in the band.
-	clear(o.zoneFlow)
-	if nf := len(in.HVAC.Flows); nf > 0 {
-		clear(o.colFlow)
-		for i, f := range in.HVAC.Flows {
-			col := i * o.zy / nf
-			if col >= o.zy {
-				col = o.zy - 1
-			}
-			o.colFlow[col] += f
-		}
-		for i := range o.zoneFlow {
-			o.zoneFlow[i] = o.colFlow[i%o.zy] / float64(o.zx)
-		}
-	}
-
-	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(n)
-	var lightHeat float64
-	if in.LightsOn {
-		lightHeat = cfg.LightingPower / float64(n)
-	}
-	o.load = occHeat + lightHeat
-
-	// A zone's conductance sums, in this order, its edges, envelope,
-	// roof and supply; Validate gives every zone an edge, so g > 0.
-	o.roofT = o.roofUA * in.Ambient
-	for i := range o.temps {
-		var g float64
-		for _, l := range o.links[o.first[i]:o.first[i+1]] {
-			g += l.ua
-		}
-		o.envT[i] = 0
-		if e := o.envUA[i]; e > 0 {
-			g += e
-			o.envT[i] = e * in.Ambient
-		}
-		g += o.roofUA
-		o.supplyT[i] = 0
-		if f := o.zoneFlow[i]; f > 0 {
-			gs := f * airCp
-			g += gs
-			o.supplyT[i] = gs * in.HVAC.SupplyTemp
-		}
-		o.zoneG[i] = g
-		o.zoneDecay[i] = math.Exp(-sub * g / o.zoneCap)
-	}
-}
-
-// substep advances one internal step of the compiled Step: every zone
-// relaxes toward the conductance-weighted equilibrium of its frozen
-// neighborhood by its exact exponential decay. Its sum gt
-// takes, from +0 and in this order, the neighbour terms, envelope,
-// roof and supply; a term a zone lacks is +0, which changes nothing.
-func (o *Office) substep() {
-	old := o.temps
-	next := o.scratch
-	for i := range old {
-		gt := 0.0
-		for _, l := range o.links[o.first[i]:o.first[i+1]] {
-			gt += l.ua * old[l.j]
-		}
-		gt += o.envT[i]
-		gt += o.roofT
-		gt += o.supplyT[i]
-		next[i] = relaxBy(old[i], o.zoneG[i], gt, o.load, o.zoneDecay[i])
-	}
-	o.temps, o.scratch = next, old
-}
-
-// TemperatureAt returns the air temperature at a floor-plan point by
-// bilinear interpolation between zone centers.
-func (o *Office) TemperatureAt(p Point) float64 {
-	return interpBilinear(o.temps, o.zx, o.zy, o.cfg.Depth, o.cfg.Width, p)
-}
-
-// TemperaturesAt evaluates TemperatureAt for every point in ps.
-func (o *Office) TemperaturesAt(ps []Point, dst []float64) []float64 {
-	if len(dst) != len(ps) {
-		dst = make([]float64, len(ps))
-	}
-	for i, p := range ps {
-		dst[i] = o.TemperatureAt(p)
-	}
-	return dst
-}
-
-// MeanTemp returns the average zone temperature.
-func (o *Office) MeanTemp() float64 {
-	var sum float64
-	for _, t := range o.temps {
-		sum += t
-	}
-	return sum / float64(len(o.temps))
 }

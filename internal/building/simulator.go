@@ -165,8 +165,7 @@ func checkStep(dt time.Duration, in Inputs) error {
 type Simulator struct {
 	cfg Config
 
-	nx, ny  int
-	temps   []float64 // cell temperatures, row-major [ix*ny+iy]
+	field   // the cell grid over the room's floor plan
 	scratch []float64
 	outlet  []float64 // per-outlet plenum temperatures
 
@@ -257,9 +256,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	}
 	s := &Simulator{
 		cfg:            cfg,
-		nx:             nx,
-		ny:             ny,
-		temps:          make([]float64, n),
+		field:          field{nx: nx, ny: ny, depth: RoomDepth, width: RoomWidth, temps: make([]float64, n)},
 		scratch:        make([]float64, n),
 		outlet:         make([]float64, cfg.NumOutlets),
 		logDrift:       math.Log1p(cfg.MixDriftPerDay),
@@ -640,63 +637,4 @@ func (s *Simulator) driftFactor() float64 {
 	}
 	days := s.elapsed / 86400
 	return math.Exp(days * s.logDrift)
-}
-
-// cellIndexFrac maps a point to fractional cell-grid coordinates,
-// clamped to the cell-center lattice.
-func (s *Simulator) cellIndexFrac(p Point) (fx, fy float64) {
-	dx := RoomDepth / float64(s.nx)
-	dy := RoomWidth / float64(s.ny)
-	fx = p.X/dx - 0.5
-	fy = p.Y/dy - 0.5
-	fx = math.Min(math.Max(fx, 0), float64(s.nx-1))
-	fy = math.Min(math.Max(fy, 0), float64(s.ny-1))
-	return fx, fy
-}
-
-// TemperatureAt returns the air temperature at a floor-plan point by
-// bilinear interpolation between cell centers (clamped at the walls).
-func (s *Simulator) TemperatureAt(p Point) float64 {
-	fx, fy := s.cellIndexFrac(p)
-	ix0 := int(fx)
-	iy0 := int(fy)
-	ix1 := ix0 + 1
-	iy1 := iy0 + 1
-	if ix1 > s.nx-1 {
-		ix1 = s.nx - 1
-	}
-	if iy1 > s.ny-1 {
-		iy1 = s.ny - 1
-	}
-	tx := fx - float64(ix0)
-	ty := fy - float64(iy0)
-	t00 := s.temps[ix0*s.ny+iy0]
-	t01 := s.temps[ix0*s.ny+iy1]
-	t10 := s.temps[ix1*s.ny+iy0]
-	t11 := s.temps[ix1*s.ny+iy1]
-	return (1-tx)*((1-ty)*t00+ty*t01) + tx*((1-ty)*t10+ty*t11)
-}
-
-// TemperaturesAt evaluates TemperatureAt for every point in ps,
-// writing into dst when it has matching length (zero-alloc for hot
-// monitoring loops that sample the truth field every control step) and
-// allocating otherwise. It returns the filled slice.
-func (s *Simulator) TemperaturesAt(ps []Point, dst []float64) []float64 {
-	if len(dst) != len(ps) {
-		dst = make([]float64, len(ps))
-	}
-	for i, p := range ps {
-		dst[i] = s.TemperatureAt(p)
-	}
-	return dst
-}
-
-// MeanTemp returns the average cell temperature (the return-air
-// temperature seen by the plant).
-func (s *Simulator) MeanTemp() float64 {
-	var sum float64
-	for _, t := range s.temps {
-		sum += t
-	}
-	return sum / float64(len(s.temps))
 }

@@ -509,25 +509,38 @@ func TestPaperGridClasses(t *testing.T) {
 	}
 }
 
-// TestStepAllocatesNothing: the substep reuses its scratch, so the
-// control loops and dataset generation step the room without garbage.
+// TestStepAllocatesNothing: every archetype's Step reuses its scratch
+// and TemperaturesAt fills a matching buffer, so the control loops and
+// dataset generation step and probe a building without garbage.
 func TestStepAllocatesNothing(t *testing.T) {
-	s, err := NewSimulator(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := Inputs{
 		HVAC:      hvac.State{Flows: []float64{0.3, 0.2, 0, 0.4}, SupplyTemp: 14},
 		Occupants: 60,
 		LightsOn:  true,
 		Ambient:   28,
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := s.Step(time.Minute, in); err != nil {
+	for _, name := range Archetypes() {
+		sp, err := DefaultSpec(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Step allocates %v times per call, want 0", allocs)
+		b, err := sp.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps []Point
+		for _, s := range sp.Sensors() {
+			ps = append(ps, s.Pos)
+		}
+		dst := make([]float64, len(ps))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := b.Step(time.Minute, in); err != nil {
+				t.Fatal(err)
+			}
+			b.TemperaturesAt(ps, dst)
+		}); allocs != 0 {
+			t.Errorf("%s: Step and TemperaturesAt allocate %v times per call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func (c Config) Validate() error {
 	if c.MixingUA < minConductance {
 		return fmt.Errorf("building: mixing conductance %v must be at least %g", c.MixingUA, minConductance)
 	}
-	if c.MixDriftPerDay < -0.5 || c.MixDriftPerDay > 0.5 {
+	if !(-0.5 <= c.MixDriftPerDay && c.MixDriftPerDay <= 0.5) {
 		return fmt.Errorf("building: mixing drift %v/day outside [-0.5, 0.5]", c.MixDriftPerDay)
 	}
 	if c.EnvelopeUA < 0 || c.GroundUA < 0 {
@@ -83,7 +83,7 @@ func (c Config) Validate() error {
 	if c.SeatMixBoost < 1 {
 		return fmt.Errorf("building: seat mix boost %v must be >= 1", c.SeatMixBoost)
 	}
-	if c.StageMixFactor <= 0 || c.StageMixFactor > 1 {
+	if !(0 < c.StageMixFactor && c.StageMixFactor <= 1) {
 		return fmt.Errorf("building: stage mix factor %v outside (0, 1]", c.StageMixFactor)
 	}
 	if c.NumOutlets <= 0 {

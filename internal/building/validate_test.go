@@ -2,7 +2,9 @@ package building
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +68,57 @@ func TestValidateBoundsSizes(t *testing.T) {
 	edge.NX, edge.NY, edge.MaxStep = 16, 256, time.Second
 	if err := edge.Validate(); err != nil {
 		t.Errorf("16x256 grid with a 1s max step rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite sets each float64 field of every
+// archetype's config, and each element of a []float64 field, to NaN,
+// +Inf and -Inf in turn, and requires Validate to reject each spec. It
+// walks the configs by reflection, so a field added later is covered
+// too.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, name := range Archetypes() {
+		// A randomized office has a UAScale entry per edge.
+		sp, err := RandomSpec(name, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var cfg reflect.Value
+		for _, v := range []reflect.Value{reflect.ValueOf(sp.Auditorium), reflect.ValueOf(sp.Office), reflect.ValueOf(sp.Residence)} {
+			if !v.IsNil() {
+				cfg = v.Elem()
+			}
+		}
+		checked := 0
+		check := func(field string, v reflect.Value) {
+			old := v.Float()
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				v.SetFloat(bad)
+				if sp.Validate() == nil {
+					t.Errorf("%s: %s = %v accepted", name, field, bad)
+				}
+			}
+			v.SetFloat(old)
+			checked++
+		}
+		for i := 0; i < cfg.NumField(); i++ {
+			f, field := cfg.Field(i), cfg.Type().Field(i).Name
+			switch {
+			case f.Kind() == reflect.Float64:
+				check(field, f)
+			case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Float64:
+				for k := 0; k < f.Len(); k++ {
+					check(fmt.Sprintf("%s[%d]", field, k), f.Index(k))
+				}
+			}
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("%s: restored spec rejected: %v", name, err)
+		}
+		t.Logf("%s: %d float values checked", name, checked)
 	}
 }
 
